@@ -4,8 +4,7 @@ rules, exact Laurent arithmetic and exchange-graph enumeration."""
 
 from .laurent import (Context, DenominatorVector, LaurentForm,
                       LaurentViolation, NotDivisible, Polynomial,
-                      canonical_serialize, denominator_vector, laurent_arith,
-                      laurent_div, poly_arith, poly_exact_div)
+                      denominator_vector)
 from .pquiver import (AmbiguousClosure, Arrow, ClassificationError,
                       PartitionedQuiver, Unclassifiable, Vertex,
                       VertexClassification)
@@ -19,6 +18,6 @@ from .algebra import (ExchangeGraph, LimitExceeded, Seed,
                       check_laurent_positive, explore, initial_seed,
                       mobius_variable_count, mutate_seed,
                       polygon_variable_count, unistructurality_scan)
-from .cover import DoubleCover, QuasiArcPresent, double_quiver, lift
+from .cover import DoubleCover, QuasiArcPresent, lift
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .laurent import Context, DenominatorVector, LaurentForm, LaurentViolation
@@ -22,29 +21,19 @@ class Seed:
     quiver: PartitionedQuiver
     context: Context
     values: dict[int, LaurentForm]
-    coeff_symbols: dict[int, int]
-    coeff_free: bool = False
-    tracking: str = "exact"   # "exact" | "denominator"
+    frozen: dict[int, LaurentForm]   # fixed value of every frozen vertex
 
     def value_of(self, v: int):
-        if v in self.values:
-            return self.values[v]
-        cls = LaurentForm if self.tracking == "exact" else DenominatorVector
-        if self.coeff_free:
-            return cls.one(self.context.nvars)
-        return cls.variable(self.coeff_symbols[v], self.context.nvars)
+        return self.values[v] if v in self.values else self.frozen[v]
 
     def cluster_key(self) -> tuple[bytes, ...]:
         return tuple(sorted(v.canonical_serialize() for v in self.values.values()))
 
-    def copy(self) -> "Seed":
-        return Seed(self.quiver, self.context, dict(self.values),
-                    self.coeff_symbols, self.coeff_free, self.tracking)
-
 
 def initial_seed(quiver: PartitionedQuiver, coeff_free: bool = False,
                  tracking: str = "exact") -> Seed:
-    """Distinguished seed: x_v at each mutable vertex, y_b at each frozen.
+    """Distinguished seed: x_v at each mutable vertex, y_b at each frozen
+    (the constant 1 when coeff_free).
 
     tracking="denominator" replaces every value by its exact denominator
     vector; the exchange recursion maps through the valuation exactly, which
@@ -57,8 +46,13 @@ def initial_seed(quiver: PartitionedQuiver, coeff_free: bool = False,
     ctx = Context(len(mutables), len(frozens))
     cls = LaurentForm if tracking == "exact" else DenominatorVector
     values = {v: cls.variable(i, ctx.nvars) for i, v in enumerate(mutables)}
-    coeffs = {v: ctx.n_cluster + i for i, v in enumerate(frozens)}
-    return Seed(quiver, ctx, values, coeffs, coeff_free, tracking)
+    if coeff_free:
+        one = cls.one(ctx.nvars)
+        frozen = {v: one for v in frozens}
+    else:
+        frozen = {v: cls.variable(ctx.n_cluster + i, ctx.nvars)
+                  for i, v in enumerate(frozens)}
+    return Seed(quiver, ctx, values, frozen)
 
 
 def exchange_value(seed: Seed, cls: VertexClassification):
@@ -78,15 +72,12 @@ def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
     """Human-readable exchange relation instance.
 
     With a seed, vertices are named by their symbol (x by mutable rank, y by
-    coefficient rank, matching the rendered values); otherwise by vertex id.
+    frozen rank, matching the rendered values); otherwise by vertex id.
     """
     if seed is not None:
-        mut = {v: i for i, v in enumerate(seed.quiver.mutable_ids())}
-
-        def nm(v):
-            if v in mut:
-                return f"x{mut[v] + 1}"
-            return f"y{seed.coeff_symbols[v] - seed.context.n_cluster + 1}"
+        names = {v: f"x{i + 1}" for i, v in enumerate(seed.quiver.mutable_ids())}
+        names.update((v, f"y{i + 1}") for i, v in enumerate(seed.quiver.frozen_ids()))
+        nm = names.__getitem__
     else:
         def nm(v):
             return f"x{v}"
@@ -111,10 +102,8 @@ def mutate_seed(seed: Seed, t: int) -> Seed:
     except LaurentViolation as exc:
         raise LaurentViolation(
             f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
-    out = seed.copy()
-    out.quiver = seed.quiver.mutate(t)
-    out.values[t] = new_value
-    return out
+    return Seed(seed.quiver.mutate(t, cls), seed.context,
+                {**seed.values, t: new_value}, seed.frozen)
 
 
 class LimitExceeded(RuntimeError):
@@ -216,8 +205,8 @@ class ExchangeGraph:
         index = {k: i for i, k in enumerate(keys)}
         lines = ["graph exchange {"]
         for k in keys:
-            shape = "circle" if k in self.complete else "dashed"
-            lines.append(f'  "{index[k]}";')
+            style = "" if k in self.complete else " [style=dashed]"
+            lines.append(f'  "{index[k]}"{style};')
         drawn = set()
         for k, nbrs in self.adjacency.items():
             for t, ck in nbrs.items():
@@ -230,57 +219,43 @@ class ExchangeGraph:
         return "\n".join(lines)
 
 
-def explore(seed: Seed, max_nodes: int = 100000, max_depth: int | None = None,
-            jobs: int = 1) -> ExchangeGraph:
+def explore(seed: Seed, max_nodes: int = 100000,
+            max_depth: int | None = None) -> ExchangeGraph:
     """Breadth-first closure under mutation with cluster deduplication.
 
     Raises LimitExceeded (carrying the partial graph) when the node budget or
-    depth cap cuts the closure short.  Deterministic: FIFO frontier, vertices
-    in ascending order; with jobs > 1 the children of a node are computed
-    concurrently but merged in the same order.
+    depth cap cuts the closure short; the budget is checked as each child is
+    built, so no child is computed past it.  Deterministic: FIFO frontier,
+    vertices in ascending order.
     """
     g = ExchangeGraph()
     k0 = seed.cluster_key()
     g.nodes[k0] = seed
     g.paths[k0] = ()
     g.root = k0
-    for v, lf in seed.values.items():
+    for lf in seed.values.values():
         g.variables.setdefault(lf.canonical_serialize(), (lf, ()))
-    depth = {k0: 0}
     queue = deque([k0])
-    pool = ThreadPoolExecutor(jobs) if jobs > 1 else None
-    try:
-        while queue:
-            k = queue.popleft()
-            if max_depth is not None and depth[k] >= max_depth:
-                continue
-            s = g.nodes[k]
-            ts = s.quiver.mutable_ids()
-            if pool is not None:
-                children = list(pool.map(lambda t: mutate_seed(s, t), ts))
-            else:
-                children = [mutate_seed(s, t) for t in ts]
-            nbrs = g.adjacency.setdefault(k, {})
-            for t, child in zip(ts, children):
-                ck = child.cluster_key()
-                if ck not in g.nodes:
-                    if len(g.nodes) >= max_nodes:
-                        raise LimitExceeded(
-                            f"node budget {max_nodes} exhausted", g)
-                    g.nodes[ck] = child
-                nbrs[t] = ck
-                if ck not in g.paths:
-                    g.paths[ck] = g.paths[k] + (t,)
-                    depth[ck] = depth[k] + 1
-                    queue.append(ck)
-                for v, lf in child.values.items():
-                    ser = lf.canonical_serialize()
-                    if ser not in g.variables:
-                        g.variables[ser] = (lf, g.paths[k] + (t,))
-            g.complete.add(k)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while queue:
+        k = queue.popleft()
+        path = g.paths[k]
+        if max_depth is not None and len(path) >= max_depth:
+            continue
+        s = g.nodes[k]
+        nbrs = g.adjacency.setdefault(k, {})
+        for t in s.quiver.mutable_ids():
+            child = mutate_seed(s, t)
+            ck = child.cluster_key()
+            if ck not in g.nodes:
+                if len(g.nodes) >= max_nodes:
+                    raise LimitExceeded(f"node budget {max_nodes} exhausted", g)
+                g.nodes[ck] = child
+                g.paths[ck] = child_path = path + (t,)
+                queue.append(ck)
+                for lf in child.values.values():
+                    g.variables.setdefault(lf.canonical_serialize(), (lf, child_path))
+            nbrs[t] = ck
+        g.complete.add(k)
     if len(g.complete) != len(g.nodes):
         raise LimitExceeded("depth cap left unexpanded clusters", g)
     g.closed = True

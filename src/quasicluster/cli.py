@@ -113,7 +113,7 @@ def cmd_explore(args) -> int:
     closed = True
     try:
         graph = explore(seed, max_nodes=args.max_nodes,
-                        max_depth=args.max_depth, jobs=args.jobs)
+                        max_depth=args.max_depth)
     except LimitExceeded as exc:
         graph = exc.graph
         closed = False
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--coeff-free", action="store_true")
     pe.add_argument("--tracking", choices=["exact", "denominator"],
                     default="exact")
-    pe.add_argument("--jobs", type=int, default=1)
     pe.add_argument("--witnesses", action=argparse.BooleanOptionalAction,
                     default=True)
     pe.add_argument("--json", dest="json_out")

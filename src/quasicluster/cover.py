@@ -171,7 +171,3 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
     for (p, s), new in point_lift.items():
         sigma_point[new] = point_lift[(p, 1 - s)]
     return DoubleCover(base, lifted, arc_lift, point_lift, sigma_arc, sigma_point)
-
-
-def double_quiver(cover: DoubleCover) -> PartitionedQuiver:
-    return cover.double_quiver()

@@ -282,9 +282,6 @@ class LaurentForm:
         content = self.num.content_monomial()
         return all(c == 0 for c, d in zip(content, self.den) if d > 0)
 
-    def has_monomial_denominator(self) -> bool:
-        return True  # structural: the representation only admits monomials
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentForm)
@@ -452,34 +449,3 @@ def denominator_vector(v: LaurentForm) -> DenominatorVector:
         raise ValueError("zero has no denominator vector")
     content = v.num.content_monomial()
     return DenominatorVector(tuple(d - c for d, c in zip(v.den, content)))
-
-
-# Operation-level wrappers -------------------------------------------------
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    return num.exact_div(den)
-
-
-def laurent_arith(a: LaurentForm, b: LaurentForm, op: str) -> LaurentForm:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def laurent_div(num: LaurentForm, den: LaurentForm) -> LaurentForm:
-    return num.divide(den)
-
-
-def canonical_serialize(v: LaurentForm) -> bytes:
-    return v.canonical_serialize()

@@ -19,9 +19,6 @@ QUASI = "quasi"
 
 V1, V2, V3, V4 = "V1", "V2", "V3", "V4"
 
-#: vertex type reached by a single mutation at a vertex of the key type
-FLIP_PAIRING = {V1: V1, V2: V4, V3: V3, V4: V2}
-
 
 class ClassificationError(ValueError):
     """The local configuration at a vertex matches no supported type."""
@@ -323,7 +320,7 @@ class PartitionedQuiver:
                     if g == d:
                         continue
                     key = (frozenset((g, d)),
-                           frozenset(map(frozenset_pair, prods)))
+                           frozenset(tuple(sorted(p)) for p in prods))
                     solutions.append((key, g, d, prods))
         distinct = {key for key, *_ in solutions}
         if not distinct:
@@ -338,9 +335,14 @@ class PartitionedQuiver:
 
     # -- mutation -----------------------------------------------------------
 
-    def mutate(self, t: int) -> "PartitionedQuiver":
-        """Return the quiver mutated at mutable vertex t.  Functional."""
-        cls = self.classify_vertex(t)
+    def mutate(self, t: int,
+               cls: VertexClassification | None = None) -> "PartitionedQuiver":
+        """Return the quiver mutated at mutable vertex t.  Functional.
+
+        ``cls`` is ``classify_vertex(t)`` when the caller has already made it.
+        """
+        if cls is None:
+            cls = self.classify_vertex(t)
         q = self.copy()
         if cls.type == V1:
             q._mutate_v1(cls)
@@ -566,7 +568,3 @@ class PartitionedQuiver:
             lines.append(f'  "{a.src}" -> "{a.tgt}" [color={color}];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def frozenset_pair(pair):
-    return frozenset(Counter(pair).items())

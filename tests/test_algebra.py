@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from quasicluster import algebra
 from quasicluster.algebra import (LimitExceeded, check_laurent_positive,
                                   exchange_value, explore, initial_seed,
                                   mobius_variable_count, mutate_seed,
                                   polygon_variable_count, relation_text,
                                   unistructurality_scan)
 from quasicluster.laurent import LaurentForm, LaurentViolation
-from quasicluster.pquiver import VertexClassification
+from quasicluster.pquiver import PartitionedQuiver, VertexClassification
 from quasicluster.surface import annulus_crosscap, mobius_fan, polygon_fan
 
 
@@ -126,14 +127,6 @@ def test_exploration_deterministic():
     assert run() == run()
 
 
-def test_exploration_jobs_agree():
-    q = mobius_fan(3).build_quiver()
-    a = explore(initial_seed(q, coeff_free=True))
-    b = explore(initial_seed(q, coeff_free=True), jobs=4)
-    assert a.sorted_keys() == b.sorted_keys()
-    assert sorted(a.variables) == sorted(b.variables)
-
-
 def test_counts_formulas():
     assert [mobius_variable_count(m) for m in (1, 2, 3, 4)] == [2, 6, 13, 23]
     assert polygon_variable_count(2) == 5
@@ -148,6 +141,36 @@ def test_node_budget():
     g = err.value.graph
     assert g.node_count() == 200
     assert g.degree_audit() == []
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_node_budget_stops_before_next_child(monkeypatch):
+    calls = counting(monkeypatch, algebra, "mutate_seed")
+    with pytest.raises(LimitExceeded) as err:
+        explore(initial_seed(mobius_fan(80).build_quiver(), coeff_free=True),
+                max_nodes=1)
+    assert calls[0] == 1
+    assert err.value.graph.node_count() == 1
+
+
+def test_each_mutation_classifies_once(monkeypatch):
+    mutations = counting(monkeypatch, algebra, "mutate_seed")
+    classifications = counting(monkeypatch, PartitionedQuiver, "classify_vertex")
+    g = explore(initial_seed(mobius_fan(3).build_quiver(), coeff_free=True))
+    assert mutations[0] == 3 * g.node_count()
+    assert classifications[0] == mutations[0]
 
 
 def test_depth_limit():
@@ -181,6 +204,18 @@ def test_tracking_modes_agree_on_infinite_type_fragment():
     exact_dvecs = sorted(denominator_vector(lf).canonical_serialize()
                          for lf, _ in ge.variables.values())
     assert exact_dvecs == sorted(gd.variables)
+
+
+def test_dot_dashes_incomplete_nodes():
+    seed = initial_seed(annulus_crosscap().build_quiver(), coeff_free=True,
+                        tracking="denominator")
+    with pytest.raises(LimitExceeded) as err:
+        explore(seed, max_nodes=200)
+    g = err.value.graph
+    assert 0 < len(g.complete) < g.node_count()
+    assert g.to_dot().count("[style=dashed]") == g.node_count() - len(g.complete)
+    closed = explore(initial_seed(mobius_fan(2).build_quiver(), coeff_free=True))
+    assert "dashed" not in closed.to_dot()
 
 
 def test_m5_exhaustive_count():

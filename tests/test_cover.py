@@ -1,6 +1,6 @@
 import pytest
 
-from quasicluster.cover import DoubleCover, QuasiArcPresent, double_quiver, lift
+from quasicluster.cover import DoubleCover, QuasiArcPresent, lift
 from quasicluster.surface import (annulus_crosscap, mobius_fan,
                                   mobius_three_arc, polygon_fan)
 from quasicluster.verify import figure_double_quiver
@@ -18,7 +18,7 @@ def test_lift_mobius_three_arc():
 
 def test_double_quiver_matches_figure():
     dc = lift(mobius_three_arc())
-    dq = double_quiver(dc)
+    dq = dc.double_quiver()
     assert dq.validate() == []
     got = dq.restrict_to_mutable().canonical_form()
     assert got == figure_double_quiver().canonical_form()

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from quasicluster.pquiver import (FLIP_PAIRING, AmbiguousClosure, Arrow,
-                                  PartitionedQuiver, Unclassifiable, Vertex,
-                                  ORDINARY, QUASI)
-from quasicluster.surface import mobius_fan, polygon_fan
+from quasicluster.pquiver import (AmbiguousClosure, Arrow, PartitionedQuiver,
+                                  Unclassifiable, Vertex, ORDINARY, QUASI)
+from quasicluster.surface import mobius_fan, named_fixture, polygon_fan
 
 
 def seven_arc_quiver():
@@ -95,6 +94,8 @@ def test_mutate_v4_adds_loop():
 
 
 def test_mutation_involution_and_pairing():
+    # vertex type reached by one mutation at a vertex of the key type
+    pairing = {"V1": "V1", "V2": "V4", "V3": "V3", "V4": "V2"}
     rng = random.Random(3)
     fixtures = [mobius_fan(m).build_quiver() for m in (1, 2, 3, 4)]
     fixtures += [polygon_fan(5).build_quiver(), seven_arc_quiver()]
@@ -104,11 +105,22 @@ def test_mutation_involution_and_pairing():
             cls = q.classify_vertex(t)
             q1 = q.mutate(t)
             assert q1.validate() == []
-            assert q1.classify_vertex(t).type == FLIP_PAIRING[cls.type]
+            assert q1.classify_vertex(t).type == pairing[cls.type]
             q2 = q1.mutate(t)
             assert q2.canonical_form() == q.canonical_form()
             assert q1.frozen_ids() == q.frozen_ids()
             q = q1
+
+
+def test_mutate_with_given_classification():
+    names = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
+             "polygon:6", "annulus-crosscap", "mobius-three-arc",
+             "three-boundary"]
+    for name in names:
+        q = named_fixture(name).build_quiver()
+        for t in q.mutable_ids():
+            assert q.mutate(t, q.classify_vertex(t)).to_json() == \
+                q.mutate(t).to_json()
 
 
 def test_v1_equals_classical_rule():
