@@ -93,9 +93,15 @@ def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
     return f"[{cls.type}] {nm(cls.t)} * {nm(cls.t)}' = {rhs}"
 
 
-def mutate_seed(seed: Seed, t: int) -> Seed:
-    """Mutate at vertex t: new quiver plus the exchanged variable at t."""
-    cls = seed.quiver.classify_vertex(t)
+def mutate_seed(seed: Seed, t: int,
+                cls: VertexClassification | None = None) -> Seed:
+    """Mutate at vertex t: new quiver plus the exchanged variable at t.
+
+    ``cls`` is ``seed.quiver.classify_vertex(t)`` when the caller has already
+    made it.
+    """
+    if cls is None:
+        cls = seed.quiver.classify_vertex(t)
     ex = exchange_value(seed, cls)
     try:
         new_value = ex.divide(seed.values[t])

@@ -11,12 +11,12 @@ import json
 import sys
 import time
 
-from . import algebra, surface, verify
+from . import verify
 from .algebra import (LimitExceeded, explore, initial_seed, mutate_seed,
                       relation_text)
 from .laurent import LaurentViolation
 from .pquiver import ClassificationError, PartitionedQuiver
-from .surface import InvalidTriangulation, QuasiTriangulation
+from .surface import InvalidTriangulation, QuasiTriangulation, named_fixture
 
 
 class InputError(ValueError):
@@ -39,11 +39,29 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _from_json(kind, data, path: str):
+    """kind.from_json(data), with malformed fields reported as input errors."""
+    try:
+        return kind.from_json(data)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: malformed {kind.__name__} JSON: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
+def _fixture(name: str) -> QuasiTriangulation:
+    """named_fixture(name), with unknown names and bad sizes reported as
+    input errors."""
+    try:
+        return named_fixture(name)
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"fixture {name!r}: {exc.args[0]}") from exc
+
+
 def _load_quiver(path: str) -> PartitionedQuiver:
     data = _load_json(path)
     if "arrows" not in data:
         raise InputError(f"{path} does not look like a quiver JSON")
-    q = PartitionedQuiver.from_json(data)
+    q = _from_json(PartitionedQuiver, data, path)
     diags = q.validate()
     if diags:
         raise InputError(f"invalid quiver: {'; '.join(diags)}")
@@ -54,7 +72,7 @@ def _load_triangulation(path: str) -> QuasiTriangulation:
     data = _load_json(path)
     if "corners" not in data:
         raise InputError(f"{path} does not look like a triangulation JSON")
-    t = QuasiTriangulation.from_json(data)
+    t = _from_json(QuasiTriangulation, data, path)
     diags = t.validate()
     if diags:
         raise InputError(f"invalid triangulation: {'; '.join(diags)}")
@@ -65,9 +83,9 @@ def cmd_surface(args) -> int:
     if args.name in ("mobius", "polygon"):
         if args.marked is None:
             raise InputError(f"fixture {args.name} needs --marked N")
-        tri = surface.named_fixture(f"{args.name}:{args.marked}")
+        tri = _fixture(f"{args.name}:{args.marked}")
     else:
-        tri = surface.named_fixture(args.name)
+        tri = _fixture(args.name)
     _write(tri.dumps(), args.out)
     return 0
 
@@ -84,7 +102,10 @@ def cmd_mutate(args) -> int:
     if args.at is not None:
         seq.append(args.at)
     if args.seq:
-        seq.extend(int(v) for v in args.seq.split(","))
+        try:
+            seq.extend(int(v) for v in args.seq.split(","))
+        except ValueError as exc:
+            raise InputError(f"--seq {args.seq!r}: {exc}") from exc
     if not seq:
         raise InputError("nothing to do: give --at or --seq")
     seed = initial_seed(q, coeff_free=args.coeff_free)
@@ -93,7 +114,7 @@ def cmd_mutate(args) -> int:
             raise InputError(f"vertex {t} is not mutable")
         cls = seed.quiver.classify_vertex(t)
         print(relation_text(cls, seed))
-        seed = mutate_seed(seed, t)
+        seed = mutate_seed(seed, t, cls)
         print(f"     x{t}' = {seed.values[t].render(seed.context)}")
     if args.out:
         _write(seed.quiver.dumps(), args.out)
@@ -104,7 +125,7 @@ def cmd_explore(args) -> int:
     if args.infile:
         tri = _load_triangulation(args.infile)
     elif args.fixture:
-        tri = surface.named_fixture(args.fixture)
+        tri = _fixture(args.fixture)
     else:
         raise InputError("explore needs --in or --fixture")
     seed = initial_seed(tri.build_quiver(), coeff_free=args.coeff_free,
@@ -139,9 +160,9 @@ def cmd_explore(args) -> int:
 def cmd_export(args) -> int:
     data = _load_json(args.infile)
     if "arrows" in data:
-        obj = PartitionedQuiver.from_json(data)
+        obj = _from_json(PartitionedQuiver, data, args.infile)
     elif "corners" in data:
-        obj = QuasiTriangulation.from_json(data)
+        obj = _from_json(QuasiTriangulation, data, args.infile)
     else:
         raise InputError(f"{args.infile}: neither quiver nor triangulation JSON")
     if args.dot:

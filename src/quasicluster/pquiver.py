@@ -3,9 +3,13 @@ of the arrows into paths, plus vertex-type classification and the four local
 mutation rules.
 
 The partition paths come from boundary marked points of a surface; every path
-starts and ends at a frozen vertex.  Two arrow slots at a vertex belong to the
-same arc end exactly when the arrows are consecutive inside a partition path,
-which is what the closure search below relies on.
+starts and ends at a frozen vertex.  An arc end is a (path, boundary index)
+pair: the arrow at position ``pos`` of path ``p`` has its source slot at end
+``(p, pos)`` and its target slot at end ``(p, pos + 1)``, so two slots at a
+vertex share an end exactly when their arrows are consecutive in a path,
+which is what the closure search below relies on.  Each mutation rule is a
+list of path-run replacements: a run of consecutive arrows of one path and
+the arrows that take its place.
 """
 from __future__ import annotations
 
@@ -89,32 +93,10 @@ class PartitionedQuiver:
     def incident(self, t: int) -> list[Arrow]:
         return [a for a in self.arrows.values() if a.src == t or a.tgt == t]
 
-    def _path_of(self, arrow_id: int) -> tuple[int, int]:
-        for pi, path in enumerate(self.partition):
-            for pos, aid in enumerate(path):
-                if aid == arrow_id:
-                    return pi, pos
-        raise KeyError(f"arrow {arrow_id} is in no partition path")
-
-    def _slot_ends(self) -> dict[tuple[int, str], int]:
-        """Assign an arc-end id to every arrow slot.
-
-        A slot is (arrow id, "src"|"tgt").  The target slot of a path arrow
-        and the source slot of its successor share one end; the outermost
-        slots of each path get ends of their own.
-        """
-        ends: dict[tuple[int, str], int] = {}
-        nxt = 0
-        for path in self.partition:
-            for pos, aid in enumerate(path):
-                if (aid, "src") not in ends:
-                    ends[(aid, "src")] = nxt
-                    nxt += 1
-                ends[(aid, "tgt")] = nxt
-                if pos + 1 < len(path):
-                    ends[(path[pos + 1], "src")] = nxt
-                nxt += 1
-        return ends
+    def _positions(self) -> dict[int, tuple[int, int]]:
+        """Map each arrow id to its (path index, position in path)."""
+        return {aid: (pi, pos) for pi, path in enumerate(self.partition)
+                for pos, aid in enumerate(path)}
 
     # -- validation ---------------------------------------------------------
 
@@ -141,9 +123,11 @@ class PartitionedQuiver:
                         self.arrows[a].tgt != self.arrows[b].src:
                     out.append(f"walk: path {pi} breaks between arrows {a} and {b}")
             first, last = self.arrows.get(path[0]), self.arrows.get(path[-1])
-            if first and not self.vertices[first.src].frozen:
+            if first and first.src in self.vertices and \
+                    not self.vertices[first.src].frozen:
                 out.append(f"path {pi} starts at non-frozen vertex {first.src}")
-            if last and not self.vertices[last.tgt].frozen:
+            if last and last.tgt in self.vertices and \
+                    not self.vertices[last.tgt].frozen:
                 out.append(f"path {pi} ends at non-frozen vertex {last.tgt}")
         for a in self.arrows.values():
             if a.src not in self.vertices or a.tgt not in self.vertices:
@@ -162,15 +146,16 @@ class PartitionedQuiver:
         v = self.vertices[t]
         if v.frozen:
             raise Unclassifiable(f"vertex {t} is frozen")
+        loc = self._positions()
         loops = [a for a in self.arrows.values() if a.src == t and a.tgt == t]
         if loops:
-            return self._classify_v2(t, loops)
+            return self._classify_v2(t, loops, loc)
         if v.kind == QUASI:
-            return self._classify_v4(t)
-        cls = self._try_v3(t)
+            return self._classify_v4(t, loc)
+        cls = self._try_v3(t, loc)
         if cls is not None:
             return cls
-        return self._classify_v1(t)
+        return self._classify_v1(t, loc)
 
     def _through_pairs(self, t: int) -> list[tuple[int, int]]:
         """Consecutive path pairs (a, b) with target(a) == source(b) == t."""
@@ -181,7 +166,7 @@ class PartitionedQuiver:
                     pairs.append((a, b))
         return pairs
 
-    def _classify_v2(self, t: int, loops) -> VertexClassification:
+    def _classify_v2(self, t: int, loops, loc) -> VertexClassification:
         if len(loops) != 1:
             raise Unclassifiable(f"vertex {t} carries {len(loops)} loops")
         if self.vertices[t].kind != ORDINARY:
@@ -195,13 +180,12 @@ class PartitionedQuiver:
         if len(ins) != 1 or len(outs) != 1 or ins[0].src != outs[0].tgt:
             raise Unclassifiable(f"vertex {t}: bad loop companions")
         a1, a3 = ins[0], outs[0]
-        pi, pos = self._path_of(a1.id)
-        path = self.partition[pi]
-        if pos + 2 >= len(path) or path[pos + 1] != loop.id or path[pos + 2] != a3.id:
+        pi, pos = loc[a1.id]
+        if self.partition[pi][pos + 1:pos + 3] != [loop.id, a3.id]:
             raise Unclassifiable(f"vertex {t}: [a1 loop a3] not consecutive")
         return VertexClassification(V2, t, (a1.id, loop.id, a3.id), i=a1.src)
 
-    def _classify_v4(self, t: int) -> VertexClassification:
+    def _classify_v4(self, t: int, loc) -> VertexClassification:
         inc = self.incident(t)
         if len(inc) != 2:
             raise Unclassifiable(f"quasi vertex {t} has {len(inc)} arrows")
@@ -210,20 +194,19 @@ class PartitionedQuiver:
         if len(ins) != 1 or len(outs) != 1 or ins[0].src != outs[0].tgt:
             raise Unclassifiable(f"quasi vertex {t} is not in a 2-cycle")
         a1, a2 = ins[0], outs[0]
-        pi, pos = self._path_of(a1.id)
-        path = self.partition[pi]
-        if pos + 1 >= len(path) or path[pos + 1] != a2.id:
+        pi, pos = loc[a1.id]
+        if self.partition[pi][pos + 1:pos + 2] != [a2.id]:
             raise Unclassifiable(f"quasi vertex {t}: 2-cycle not consecutive")
         return VertexClassification(V4, t, (a1.id, a2.id), i=a1.src)
 
-    def _try_v3(self, t: int) -> VertexClassification | None:
+    def _try_v3(self, t: int, loc) -> VertexClassification | None:
         partners = sorted({
             a.tgt for a in self.arrows.values() if a.src == t
             and a.tgt != t and self.vertices[a.tgt].kind == QUASI
         })
         matches = []
         for j in partners:
-            m = self._match_v3(t, j)
+            m = self._match_v3(t, j, loc)
             if m is not None:
                 matches.append(m)
         if not matches:
@@ -232,13 +215,13 @@ class PartitionedQuiver:
             raise AmbiguousClosure(f"vertex {t}: several quasi partners match V3")
         return matches[0]
 
-    def _match_v3(self, t: int, j: int) -> VertexClassification | None:
+    def _match_v3(self, t: int, j: int, loc) -> VertexClassification | None:
         fwd = [a for a in self.arrows.values() if a.src == t and a.tgt == j]
         back = [a for a in self.arrows.values() if a.src == j and a.tgt == t]
         if len(fwd) != 1 or len(back) != 1:
             return None
         a2, a3 = fwd[0], back[0]
-        pi, pos = self._path_of(a2.id)
+        pi, pos = loc[a2.id]
         path = self.partition[pi]
         if not (0 < pos and pos + 2 < len(path) and path[pos + 1] == a3.id):
             return None
@@ -247,37 +230,37 @@ class PartitionedQuiver:
         if a1.tgt != t or a4.src != t:
             return None
         i, k = a1.src, a4.tgt
-        ends = self._slot_ends()
-        betas = []
-        for g in self.arrows.values():
-            for i_role, k_role in self._join_assignments(g, i, k):
-                if ends[(g.id, i_role)] != ends[(a1.id, "src")] and \
-                        ends[(g.id, k_role)] != ends[(a4.id, "tgt")]:
-                    betas.append(g.id)
-                    break
+        betas = self._closing_arrows(loc, (i, (pi, pos - 1)), (k, (pi, pos + 3)))
         if not betas:
             return None
-        if len(set(betas)) > 1:
+        if len(betas) > 1:
             raise AmbiguousClosure(f"vertex {t}: closing arrow for V3 not unique")
         return VertexClassification(
             V3, t, (a1.id, a2.id, a3.id, a4.id), closures=(betas[0],),
             i=i, j=j, k=k)
 
-    @staticmethod
-    def _join_assignments(g: Arrow, p: int, q: int):
-        """Slot-role assignments under which arrow g joins vertices p and q."""
-        out = []
-        if p == q:
-            if g.src == p and g.tgt == p:
-                out = [("src", "tgt"), ("tgt", "src")]
-        else:
-            if g.src == p and g.tgt == q:
-                out = [("src", "tgt")]
-            elif g.src == q and g.tgt == p:
-                out = [("tgt", "src")]
-        return out
+    def _closing_arrows(self, loc, p_side, q_side) -> list[int]:
+        """Arrows joining vertex p to vertex q, in either direction, whose
+        slot at p is off arc end p_end and whose slot at q is off q_end.
 
-    def _classify_v1(self, t: int) -> VertexClassification:
+        ``p_side`` is (p, p_end) and ``q_side`` is (q, q_end); a loop at
+        p == q qualifies if either of its two slot assignments does.
+        """
+        (p, p_end), (q, q_end) = p_side, q_side
+        found = []
+        for g in self.arrows.values():
+            fwd = g.src == p and g.tgt == q
+            bwd = g.src == q and g.tgt == p
+            if not (fwd or bwd):
+                continue
+            pi, pos = loc[g.id]
+            src_end, tgt_end = (pi, pos), (pi, pos + 1)
+            if (fwd and src_end != p_end and tgt_end != q_end) or \
+                    (bwd and tgt_end != p_end and src_end != q_end):
+                found.append(g.id)
+        return found
+
+    def _classify_v1(self, t: int, loc) -> VertexClassification:
         pairs = self._through_pairs(t)
         inc = self.incident(t)
         if len(pairs) != 2 or len(inc) != 4:
@@ -285,28 +268,20 @@ class PartitionedQuiver:
                 f"vertex {t}: expected two 2-paths through it, "
                 f"found {len(pairs)} (degree {len(inc)})")
         (a_in, a_out), (b_in, b_out) = pairs
-        ends = self._slot_ends()
+        (ap, apos), (bp, bpos) = loc[a_in], loc[b_in]
         x, y = self.arrows[a_in].src, self.arrows[a_out].tgt
         z, w = self.arrows[b_in].src, self.arrows[b_out].tgt
         outer = {
-            "x": (x, ends[(a_in, "src")]),
-            "y": (y, ends[(a_out, "tgt")]),
-            "z": (z, ends[(b_in, "src")]),
-            "w": (w, ends[(b_out, "tgt")]),
+            "x": (x, (ap, apos)),
+            "y": (y, (ap, apos + 2)),
+            "z": (z, (bp, bpos)),
+            "w": (w, (bp, bpos + 2)),
         }
         t_arrows = {a_in, a_out, b_in, b_out}
 
         def candidates(p_name, q_name):
-            (pv, pe), (qv, qe) = outer[p_name], outer[q_name]
-            found = []
-            for g in self.arrows.values():
-                if g.id in t_arrows:
-                    continue
-                for p_role, q_role in self._join_assignments(g, pv, qv):
-                    if ends[(g.id, p_role)] != pe and ends[(g.id, q_role)] != qe:
-                        found.append(g.id)
-                        break
-            return found
+            return [g for g in self._closing_arrows(loc, outer[p_name], outer[q_name])
+                    if g not in t_arrows]
 
         solutions = []
         # pairing A: gamma joins x-w, delta joins y-z -> products (x,z)+(y,w)
@@ -343,79 +318,64 @@ class PartitionedQuiver:
         """
         if cls is None:
             cls = self.classify_vertex(t)
+        rule = {V1: self._rule_v1, V2: self._rule_v2,
+                V3: self._rule_v3, V4: self._rule_v4}[cls.type]
+        runs, kind = rule(cls)
+        loc = self._positions()
         q = self.copy()
-        if cls.type == V1:
-            q._mutate_v1(cls)
-        elif cls.type == V2:
-            q._mutate_v2(cls)
-        elif cls.type == V3:
-            q._mutate_v3(cls)
-        else:
-            q._mutate_v4(cls)
+        # right to left, so that each run's position is still the original one
+        for old, new in sorted(runs, key=lambda run: loc[run[0][0]], reverse=True):
+            pi, pos = loc[old[0]]
+            path = q.partition[pi]
+            assert path[pos:pos + len(old)] == old, "roles are not path-consecutive"
+            path[pos:pos + len(old)] = [a.id for a in new]
+        # an id both replaced and re-added (V2's loop, V4's a1) keeps its
+        # place: classification scans arrows in dict order
+        added = {a.id: a for _, new in runs for a in new}
+        for old, _ in runs:
+            for aid in old:
+                if aid not in added:
+                    del q.arrows[aid]
+        q.arrows.update(added)
+        if kind is not None:
+            q.vertices[t] = Vertex(t, frozen=False, kind=kind)
         return q
 
-    def _splice(self, old: list[int], new_arrows: list[Arrow]):
-        """Replace the consecutive run `old` in its path by `new_arrows`."""
-        pi, pos = self._path_of(old[0])
-        path = self.partition[pi]
-        assert path[pos:pos + len(old)] == old, "roles are not path-consecutive"
-        for aid in old:
-            del self.arrows[aid]
-        for a in new_arrows:
-            self.arrows[a.id] = a
-        self.partition[pi][pos:pos + len(old)] = [a.id for a in new_arrows]
+    # Each rule returns (runs, kind): runs pair a list of consecutive old
+    # arrow ids with the arrows replacing them; kind is t's new kind or None.
 
-    def _mutate_v1(self, cls: VertexClassification):
-        t = cls.t
+    def _rule_v1(self, cls: VertexClassification):
+        t, arr = cls.t, self.arrows
         a_in, a_out, b_in, b_out = cls.arrows
-        gamma, delta = cls.closures
+        g, d = (arr[c] for c in cls.closures)
         nid = self.fresh_arrow_id()
-        contraction_a = Arrow(nid, self.arrows[a_in].src, self.arrows[a_out].tgt)
-        contraction_b = Arrow(nid + 1, self.arrows[b_in].src, self.arrows[b_out].tgt)
-        g, d = self.arrows[gamma], self.arrows[delta]
-        exp_g = [Arrow(nid + 2, g.src, t), Arrow(nid + 3, t, g.tgt)]
-        exp_d = [Arrow(nid + 4, d.src, t), Arrow(nid + 5, t, d.tgt)]
-        self._splice([a_in, a_out], [contraction_a])
-        self._splice([b_in, b_out], [contraction_b])
-        self._splice([gamma], exp_g)
-        self._splice([delta], exp_d)
+        return [
+            ([a_in, a_out], [Arrow(nid, arr[a_in].src, arr[a_out].tgt)]),
+            ([b_in, b_out], [Arrow(nid + 1, arr[b_in].src, arr[b_out].tgt)]),
+            ([g.id], [Arrow(nid + 2, g.src, t), Arrow(nid + 3, t, g.tgt)]),
+            ([d.id], [Arrow(nid + 4, d.src, t), Arrow(nid + 5, t, d.tgt)]),
+        ], None
 
-    def _mutate_v2(self, cls: VertexClassification):
-        t = cls.t
-        a1, loop, a3 = cls.arrows
-        i = self.arrows[a3].tgt
-        # delete the return arrow and retarget the loop so the local picture
+    def _rule_v2(self, cls: VertexClassification):
+        # drop the return arrow and retarget the loop so the local picture
         # becomes the 2-cycle i <-> t
-        pi, pos = self._path_of(a3)
-        del self.partition[pi][pos]
-        del self.arrows[a3]
-        self.arrows[loop] = Arrow(loop, t, i)
-        self.vertices[t] = Vertex(t, frozen=False, kind=QUASI)
+        _, loop, a3 = cls.arrows
+        return [([loop, a3], [Arrow(loop, cls.t, cls.i)])], QUASI
 
-    def _mutate_v3(self, cls: VertexClassification):
+    def _rule_v3(self, cls: VertexClassification):
         t, j = cls.t, cls.j
-        a1, a2, a3, a4 = cls.arrows
-        beta = cls.closures[0]
+        b = self.arrows[cls.closures[0]]
         nid = self.fresh_arrow_id()
-        contraction = Arrow(nid, self.arrows[a1].src, self.arrows[a4].tgt)
-        b = self.arrows[beta]
-        expansion = [
-            Arrow(nid + 1, b.src, t),
-            Arrow(nid + 2, t, j),
-            Arrow(nid + 3, j, t),
-            Arrow(nid + 4, t, b.tgt),
-        ]
-        self._splice([a1, a2, a3, a4], [contraction])
-        self._splice([beta], expansion)
+        return [
+            (list(cls.arrows), [Arrow(nid, cls.i, cls.k)]),
+            ([b.id], [Arrow(nid + 1, b.src, t), Arrow(nid + 2, t, j),
+                      Arrow(nid + 3, j, t), Arrow(nid + 4, t, b.tgt)]),
+        ], None
 
-    def _mutate_v4(self, cls: VertexClassification):
-        t = cls.t
-        a1, a2 = cls.arrows
-        loop = Arrow(self.fresh_arrow_id(), t, t)
-        pi, pos = self._path_of(a1)
-        self.arrows[loop.id] = loop
-        self.partition[pi].insert(pos + 1, loop.id)
-        self.vertices[t] = Vertex(t, frozen=False, kind=ORDINARY)
+    def _rule_v4(self, cls: VertexClassification):
+        a1, _ = cls.arrows
+        loop = Arrow(self.fresh_arrow_id(), cls.t, cls.t)
+        return [([a1], [self.arrows[a1], loop])], ORDINARY
 
     # -- classical rule (for the orientable regression) ----------------------
 
@@ -559,12 +519,9 @@ class PartitionedQuiver:
         for v in sorted(self.vertices.values(), key=lambda v: v.id):
             shape = "box" if v.frozen else ("diamond" if v.kind == QUASI else "circle")
             lines.append(f'  "{v.id}" [shape={shape}];')
-        path_of = {}
-        for pi, path in enumerate(self.partition):
-            for aid in path:
-                path_of[aid] = pi
+        loc = self._positions()
         for a in sorted(self.arrows.values(), key=lambda a: a.id):
-            color = palette[path_of.get(a.id, 0) % len(palette)]
+            color = palette[loc.get(a.id, (0,))[0] % len(palette)]
             lines.append(f'  "{a.src}" -> "{a.tgt}" [color={color}];')
         lines.append("}")
         return "\n".join(lines)

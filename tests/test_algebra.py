@@ -173,6 +173,15 @@ def test_each_mutation_classifies_once(monkeypatch):
     assert classifications[0] == mutations[0]
 
 
+def test_mutate_seed_with_given_classification():
+    seed = initial_seed(mobius_fan(3).build_quiver())
+    for t in seed.quiver.mutable_ids():
+        given = mutate_seed(seed, t, seed.quiver.classify_vertex(t))
+        made = mutate_seed(seed, t)
+        assert given.quiver.to_json() == made.quiver.to_json()
+        assert given.values == made.values
+
+
 def test_depth_limit():
     seed = initial_seed(mobius_fan(3).build_quiver(), coeff_free=True)
     with pytest.raises(LimitExceeded) as err:

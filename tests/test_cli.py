@@ -138,3 +138,65 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "mutate", "--in", str(path), "--at", "1")
     assert code == 2
+
+
+def quiver_file(tmp_path, capsys, marked=3):
+    tpath = tmp_path / "t.json"
+    qpath = tmp_path / "q.json"
+    run(capsys, "surface", "mobius", "--marked", str(marked), "--out", str(tpath))
+    run(capsys, "quiver", "build", "--in", str(tpath), "--out", str(qpath))
+    return qpath
+
+
+def arrow_without_src(tmp_path, capsys):
+    data = json.loads(quiver_file(tmp_path, capsys).read_text())
+    del data["arrows"][0]["src"]
+    bad = tmp_path / "nosrc.json"
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+def arrow_to_unknown_vertex(tmp_path, capsys):
+    data = json.loads(quiver_file(tmp_path, capsys).read_text())
+    data["arrows"][0]["src"] = 999
+    bad = tmp_path / "unknown.json"
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+@pytest.mark.parametrize("make_input, argv", [
+    (quiver_file, ("mutate", "--seq", "1,x")),
+    (None, ("explore", "--fixture", "nope")),
+    (None, ("explore", "--fixture", "mobius:abc")),
+    (None, ("explore", "--fixture", "mobius:0")),
+    (None, ("explore", "--fixture", "polygon:3")),
+    (None, ("surface", "polygon", "--marked", "2")),
+    (arrow_without_src, ("mutate", "--at", "1")),
+    (arrow_without_src, ("verify",)),
+    (arrow_without_src, ("export", "--json")),
+    (arrow_to_unknown_vertex, ("mutate", "--at", "1")),
+], ids=["seq-not-int", "unknown-fixture", "fixture-size-not-int",
+        "mobius-0", "polygon-3", "surface-polygon-2", "mutate-arrow-without-src",
+        "verify-arrow-without-src", "export-arrow-without-src",
+        "mutate-arrow-to-unknown-vertex"])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_input, argv):
+    if make_input is not None:
+        argv += ("--in", str(make_input(tmp_path, capsys)))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_mutate_classifies_each_vertex_once(tmp_path, capsys, monkeypatch):
+    qpath = quiver_file(tmp_path, capsys)
+    calls = [0]
+    original = PartitionedQuiver.classify_vertex
+
+    def counted(self, t):
+        calls[0] += 1
+        return original(self, t)
+
+    monkeypatch.setattr(PartitionedQuiver, "classify_vertex", counted)
+    code, out, _ = run(capsys, "mutate", "--in", str(qpath), "--seq", "1,2,3")
+    assert code == 0 and out.count("[V") == 3
+    assert calls[0] == 3

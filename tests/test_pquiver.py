@@ -199,3 +199,19 @@ def test_json_roundtrip_and_dot():
     assert back.canonical_form() == q.canonical_form()
     dot = q.to_dot()
     assert "7" in dot and "shape=box" in dot and "->" in dot
+
+
+@pytest.mark.parametrize("itinerary", [
+    [8, 1, 2, 3, 2, 4, 1, 9],   # the only i-k arrow leaves k where a4 ends
+    [8, 4, 1, 2, 3, 2, 4, 9],   # the only i-k arrow enters i where a1 starts
+])
+def test_v3_closing_arrow_avoids_the_runs_own_arc_ends(itinerary):
+    # i=1, t=2, quasi j=3, k=4: the run i>t>j>t>k has no closing arrow
+    vertices = [Vertex(1), Vertex(2), Vertex(3, kind=QUASI), Vertex(4),
+                Vertex(8, frozen=True), Vertex(9, frozen=True)]
+    arrows = [Arrow(n + 1, a, b)
+              for n, (a, b) in enumerate(zip(itinerary, itinerary[1:]))]
+    q = PartitionedQuiver(vertices, arrows, [[a.id for a in arrows]])
+    assert q.validate() == []
+    with pytest.raises(Unclassifiable):
+        q.classify_vertex(2)
