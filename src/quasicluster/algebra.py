@@ -93,21 +93,46 @@ def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
     return f"[{cls.type}] {nm(cls.t)} * {nm(cls.t)}' = {rhs}"
 
 
-def mutate_seed(seed: Seed, t: int,
-                cls: VertexClassification | None = None) -> Seed:
+def _relation_key(seed: Seed, cls: VertexClassification) -> tuple:
+    """What E / x_t depends on: the V-type, the serialized inputs in the order
+    ``exchange_value`` reads them, and the serialized old value at t."""
+    if cls.type == V1:
+        (a, b), (c, d) = cls.product_pairs
+        inputs = (a, b, c, d)
+    elif cls.type in (V2, V4):
+        inputs = (cls.i,)
+    else:
+        inputs = (cls.i, cls.j, cls.k)
+    return (cls.type,
+            tuple(seed.value_of(v).canonical_serialize() for v in inputs),
+            seed.values[cls.t].canonical_serialize())
+
+
+def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
+                relations: dict | None = None) -> Seed:
     """Mutate at vertex t: new quiver plus the exchanged variable at t.
 
     ``cls`` is ``seed.quiver.classify_vertex(t)`` when the caller has already
-    made it.
+    made it.  ``relations`` is a memo of exchanged values E / x_t keyed by
+    V-type, inputs and old value; a hit skips ``exchange_value`` and the
+    division, a miss stores its result.  Without it every relation is
+    computed afresh.
     """
     if cls is None:
         cls = seed.quiver.classify_vertex(t)
-    ex = exchange_value(seed, cls)
-    try:
-        new_value = ex.divide(seed.values[t])
-    except LaurentViolation as exc:
-        raise LaurentViolation(
-            f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
+    new_value = None
+    if relations is not None:
+        key = _relation_key(seed, cls)
+        new_value = relations.get(key)
+    if new_value is None:
+        ex = exchange_value(seed, cls)
+        try:
+            new_value = ex.divide(seed.values[t])
+        except LaurentViolation as exc:
+            raise LaurentViolation(
+                f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
+        if relations is not None:
+            relations[key] = new_value
     return Seed(seed.quiver.mutate(t, cls), seed.context,
                 {**seed.values, t: new_value}, seed.frozen)
 
@@ -233,8 +258,17 @@ def explore(seed: Seed, max_nodes: int = 100000,
     depth cap cuts the closure short; the budget is checked as each child is
     built, so no child is computed past it.  Deterministic: FIFO frontier,
     vertices in ascending order.
+
+    Each exchange relation is computed once per call: one memo of exchanged
+    values (see ``mutate_seed``) lives for this call only, so separate calls
+    on the same seed do the same work.  Mutation is an involution, so a
+    cluster first created from k by mutating at t records k as its
+    neighbour at t and is not mutated at t again.  A cluster found again
+    along another path keeps the seed, and so the vertex labelling, of the
+    path that created it, so no reverse edge is recorded for it.
     """
     g = ExchangeGraph()
+    relations: dict = {}
     k0 = seed.cluster_key()
     g.nodes[k0] = seed
     g.paths[k0] = ()
@@ -250,13 +284,16 @@ def explore(seed: Seed, max_nodes: int = 100000,
         s = g.nodes[k]
         nbrs = g.adjacency.setdefault(k, {})
         for t in s.quiver.mutable_ids():
-            child = mutate_seed(s, t)
+            if t in nbrs:
+                continue   # the mutation that created k leads back to its parent
+            child = mutate_seed(s, t, relations=relations)
             ck = child.cluster_key()
             if ck not in g.nodes:
                 if len(g.nodes) >= max_nodes:
                     raise LimitExceeded(f"node budget {max_nodes} exhausted", g)
                 g.nodes[ck] = child
                 g.paths[ck] = child_path = path + (t,)
+                g.adjacency[ck] = {t: k}
                 queue.append(ck)
                 for lf in child.values.values():
                     g.variables.setdefault(lf.canonical_serialize(), (lf, child_path))

@@ -40,12 +40,18 @@ def _load_json(path: str) -> dict:
 
 
 def _from_json(kind, data, path: str):
-    """kind.from_json(data), with malformed fields reported as input errors."""
+    """kind.from_json(data) checked by its validate(), with malformed fields
+    and structural faults reported as input errors."""
     try:
-        return kind.from_json(data)
+        obj = kind.from_json(data)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"{path}: malformed {kind.__name__} JSON: "
                          f"{type(exc).__name__}: {exc}") from exc
+    diags = obj.validate()
+    if diags:
+        noun = "quiver" if kind is PartitionedQuiver else "triangulation"
+        raise InputError(f"invalid {noun}: {'; '.join(diags)}")
+    return obj
 
 
 def _fixture(name: str) -> QuasiTriangulation:
@@ -61,22 +67,14 @@ def _load_quiver(path: str) -> PartitionedQuiver:
     data = _load_json(path)
     if "arrows" not in data:
         raise InputError(f"{path} does not look like a quiver JSON")
-    q = _from_json(PartitionedQuiver, data, path)
-    diags = q.validate()
-    if diags:
-        raise InputError(f"invalid quiver: {'; '.join(diags)}")
-    return q
+    return _from_json(PartitionedQuiver, data, path)
 
 
 def _load_triangulation(path: str) -> QuasiTriangulation:
     data = _load_json(path)
     if "corners" not in data:
         raise InputError(f"{path} does not look like a triangulation JSON")
-    t = _from_json(QuasiTriangulation, data, path)
-    diags = t.validate()
-    if diags:
-        raise InputError(f"invalid triangulation: {'; '.join(diags)}")
-    return t
+    return _from_json(QuasiTriangulation, data, path)
 
 
 def cmd_surface(args) -> int:

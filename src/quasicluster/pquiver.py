@@ -69,6 +69,13 @@ class VertexClassification:
     product_pairs: tuple[tuple[int, int], ...] = ()
 
 
+def _json_int(value, name: str) -> int:
+    """An id read from JSON: an int proper (a bool is not an id)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 class PartitionedQuiver:
     def __init__(self, vertices, arrows, partition):
         self.vertices: dict[int, Vertex] = {v.id: v for v in vertices}
@@ -503,10 +510,18 @@ class PartitionedQuiver:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartitionedQuiver":
-        vertices = [Vertex(v["id"], bool(v.get("frozen", False)),
-                           v.get("kind", ORDINARY)) for v in data["vertices"]]
-        arrows = [Arrow(a["id"], a["src"], a["tgt"]) for a in data["arrows"]]
-        return cls(vertices, arrows, data["partition"])
+        """Inverse of ``to_json``; raises ValueError naming the field when an
+        id, an endpoint or a partition entry is not an integer."""
+        vertices = [Vertex(_json_int(v["id"], "vertex id"),
+                           bool(v.get("frozen", False)), v.get("kind", ORDINARY))
+                    for v in data["vertices"]]
+        arrows = [Arrow(_json_int(a["id"], "arrow id"),
+                        _json_int(a["src"], "arrow src"),
+                        _json_int(a["tgt"], "arrow tgt"))
+                  for a in data["arrows"]]
+        partition = [[_json_int(aid, "partition entry") for aid in path]
+                     for path in data["partition"]]
+        return cls(vertices, arrows, partition)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)

@@ -11,7 +11,8 @@ from quasicluster.algebra import (LimitExceeded, check_laurent_positive,
                                   unistructurality_scan)
 from quasicluster.laurent import LaurentForm, LaurentViolation
 from quasicluster.pquiver import PartitionedQuiver, VertexClassification
-from quasicluster.surface import annulus_crosscap, mobius_fan, polygon_fan
+from quasicluster.surface import (annulus_crosscap, mobius_fan, named_fixture,
+                                  polygon_fan)
 
 
 def all_ones_seed(quiver):
@@ -169,8 +170,75 @@ def test_each_mutation_classifies_once(monkeypatch):
     mutations = counting(monkeypatch, algebra, "mutate_seed")
     classifications = counting(monkeypatch, PartitionedQuiver, "classify_vertex")
     g = explore(initial_seed(mobius_fan(3).build_quiver(), coeff_free=True))
-    assert mutations[0] == 3 * g.node_count()
+    # each non-root cluster already knows its parent through the mutation
+    # that created it, so that mutation is not made again
+    assert mutations[0] == 3 * g.node_count() - (g.node_count() - 1)
     assert classifications[0] == mutations[0]
+
+
+def relation_key(seed, cls):
+    """V-type, input serializations and old value of one exchange relation."""
+    if cls.type == "V1":
+        inputs = [v for pair in cls.product_pairs for v in pair]
+    elif cls.type in ("V2", "V4"):
+        inputs = [cls.i]
+    else:
+        inputs = [cls.i, cls.j, cls.k]
+    return (cls.type, tuple(seed.value_of(v).canonical_serialize() for v in inputs),
+            seed.values[cls.t].canonical_serialize())
+
+
+@pytest.mark.parametrize("coeff_free", [True, False])
+def test_explore_computes_each_relation_once_per_call(monkeypatch, coeff_free):
+    exchanges = counting(monkeypatch, algebra, "exchange_value")
+    keys = set()
+    original = algebra.mutate_seed
+
+    def recorded(seed, t, *args, **kwargs):
+        keys.add(relation_key(seed, seed.quiver.classify_vertex(t)))
+        return original(seed, t, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "mutate_seed", recorded)
+    seed = initial_seed(mobius_fan(4).build_quiver(), coeff_free=coeff_free)
+    counts = []
+    for _ in range(2):
+        keys.clear()
+        exchanges[0] = 0
+        explore(seed)
+        assert exchanges[0] == len(keys)
+        counts.append(exchanges[0])
+    # the memo lives for one call: the second call on the same seed does
+    # the same work as the first
+    assert counts[0] == counts[1]
+
+
+def test_mutate_seed_with_relations_memo():
+    names = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
+             "polygon:6", "annulus-crosscap", "mobius-three-arc",
+             "three-boundary"]
+    for name in names:
+        seed = initial_seed(named_fixture(name).build_quiver())
+        relations = {}
+        children = [mutate_seed(seed, t) for t in seed.quiver.mutable_ids()]
+        for s in [seed, *children, seed]:   # misses, then hits
+            for t in s.quiver.mutable_ids():
+                fresh = mutate_seed(s, t)
+                memo = mutate_seed(s, t, relations=relations)
+                assert memo.values == fresh.values
+                assert memo.quiver.to_json() == fresh.quiver.to_json()
+        assert relations
+
+
+def test_adjacency_matches_fresh_mutation():
+    g = explore(initial_seed(mobius_fan(3).build_quiver(), coeff_free=True))
+    # more edges than a tree: some clusters are reached along several paths,
+    # and keep the seed (and vertex labelling) of the path that created them
+    assert g.edge_count() > g.node_count() - 1
+    for k in g.complete:
+        s = g.nodes[k]
+        assert sorted(g.adjacency[k]) == s.quiver.mutable_ids()
+        for t, ck in g.adjacency[k].items():
+            assert mutate_seed(s, t).cluster_key() == ck
 
 
 def test_mutate_seed_with_given_classification():
@@ -230,6 +298,14 @@ def test_dot_dashes_incomplete_nodes():
 def test_m5_exhaustive_count():
     g = explore(initial_seed(mobius_fan(5).build_quiver(), coeff_free=True))
     assert g.variable_count() == mobius_variable_count(5) == 36
+    assert g.degree_audit() == [] and g.connectivity_audit()
+
+
+@pytest.mark.parametrize("m, variables, clusters", [(6, 52, 1276), (7, 71, 5020)])
+def test_m6_m7_exhaustive_counts(m, variables, clusters):
+    g = explore(initial_seed(mobius_fan(m).build_quiver(), coeff_free=True))
+    assert g.variable_count() == mobius_variable_count(m) == variables
+    assert g.node_count() == clusters
     assert g.degree_audit() == [] and g.connectivity_audit()
 
 

@@ -164,6 +164,22 @@ def arrow_to_unknown_vertex(tmp_path, capsys):
     return bad
 
 
+def edited_quiver(edit):
+    """An input maker: the built mobius:3 quiver with ``edit`` applied."""
+    def make(tmp_path, capsys):
+        data = json.loads(quiver_file(tmp_path, capsys).read_text())
+        edit(data)
+        bad = tmp_path / "edited.json"
+        bad.write_text(json.dumps(data))
+        return bad
+    return make
+
+
+arrow_src_list = edited_quiver(lambda d: d["arrows"][0].update(src=[1]))
+string_vertex_id = edited_quiver(lambda d: d["vertices"][0].update(id="1"))
+partition_unknown_arrow = edited_quiver(lambda d: d["partition"][0].append(999))
+
+
 @pytest.mark.parametrize("make_input, argv", [
     (quiver_file, ("mutate", "--seq", "1,x")),
     (None, ("explore", "--fixture", "nope")),
@@ -175,10 +191,17 @@ def arrow_to_unknown_vertex(tmp_path, capsys):
     (arrow_without_src, ("verify",)),
     (arrow_without_src, ("export", "--json")),
     (arrow_to_unknown_vertex, ("mutate", "--at", "1")),
+    (arrow_src_list, ("mutate", "--at", "1")),
+    (arrow_src_list, ("verify",)),
+    (arrow_src_list, ("export", "--dot")),
+    (string_vertex_id, ("export", "--dot")),
+    (partition_unknown_arrow, ("export", "--dot")),
 ], ids=["seq-not-int", "unknown-fixture", "fixture-size-not-int",
         "mobius-0", "polygon-3", "surface-polygon-2", "mutate-arrow-without-src",
         "verify-arrow-without-src", "export-arrow-without-src",
-        "mutate-arrow-to-unknown-vertex"])
+        "mutate-arrow-to-unknown-vertex", "mutate-arrow-src-list",
+        "verify-arrow-src-list", "export-dot-arrow-src-list",
+        "export-dot-string-vertex-id", "export-dot-unknown-arrow"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_input, argv):
     if make_input is not None:
         argv += ("--in", str(make_input(tmp_path, capsys)))

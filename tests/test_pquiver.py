@@ -201,6 +201,20 @@ def test_json_roundtrip_and_dot():
     assert "7" in dot and "shape=box" in dot and "->" in dot
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("vertex id", lambda d: d["vertices"][0].update(id="1")),
+    ("arrow id", lambda d: d["arrows"][0].update(id=1.0)),
+    ("arrow src", lambda d: d["arrows"][0].update(src=[1])),
+    ("arrow tgt", lambda d: d["arrows"][0].update(tgt=True)),
+    ("partition entry", lambda d: d["partition"][0].insert(0, None)),
+], ids=["vertex-id", "arrow-id", "arrow-src", "arrow-tgt", "partition-entry"])
+def test_from_json_rejects_ids_that_are_not_integers(field, edit):
+    data = seven_arc_quiver().to_json()
+    edit(data)
+    with pytest.raises(ValueError, match=field):
+        PartitionedQuiver.from_json(data)
+
+
 @pytest.mark.parametrize("itinerary", [
     [8, 1, 2, 3, 2, 4, 1, 9],   # the only i-k arrow leaves k where a4 ends
     [8, 4, 1, 2, 3, 2, 4, 9],   # the only i-k arrow enters i where a1 starts
