@@ -13,11 +13,18 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .laurent import Context, DenominatorVector, LaurentForm, LaurentViolation
-from .pquiver import (V1, V2, V3, V4, PartitionedQuiver, VertexClassification)
+from .pquiver import (QUASI, V1, V2, V3, V4, PartitionedQuiver,
+                      VertexClassification)
 
 
 @dataclass
 class Seed:
+    """A quiver with a value at every vertex.
+
+    Seeds stored by one ``explore`` call share quiver objects (one per
+    vertex-labelled quiver), so a seed's quiver must not be edited in place.
+    """
+
     quiver: PartitionedQuiver
     context: Context
     values: dict[int, LaurentForm]
@@ -109,14 +116,16 @@ def _relation_key(seed: Seed, cls: VertexClassification) -> tuple:
 
 
 def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
-                relations: dict | None = None) -> Seed:
+                relations: dict | None = None,
+                quiver: PartitionedQuiver | None = None) -> Seed:
     """Mutate at vertex t: new quiver plus the exchanged variable at t.
 
     ``cls`` is ``seed.quiver.classify_vertex(t)`` when the caller has already
-    made it.  ``relations`` is a memo of exchanged values E / x_t keyed by
-    V-type, inputs and old value; a hit skips ``exchange_value`` and the
-    division, a miss stores its result.  Without it every relation is
-    computed afresh.
+    made it, and ``quiver`` is ``seed.quiver.mutate(t, cls)`` (or a quiver
+    equal to it up to arrow ids) when the caller already has that.
+    ``relations`` is a memo of exchanged values E / x_t keyed by V-type,
+    inputs and old value; a hit skips ``exchange_value`` and the division, a
+    miss stores its result.  Without it every relation is computed afresh.
     """
     if cls is None:
         cls = seed.quiver.classify_vertex(t)
@@ -133,8 +142,9 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
                 f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
         if relations is not None:
             relations[key] = new_value
-    return Seed(seed.quiver.mutate(t, cls), seed.context,
-                {**seed.values, t: new_value}, seed.frozen)
+    if quiver is None:
+        quiver = seed.quiver.mutate(t, cls)
+    return Seed(quiver, seed.context, {**seed.values, t: new_value}, seed.frozen)
 
 
 class LimitExceeded(RuntimeError):
@@ -250,6 +260,28 @@ class ExchangeGraph:
         return "\n".join(lines)
 
 
+def _quiver_signature(quiver: PartitionedQuiver) -> tuple[int, ...]:
+    """The quiver up to arrow ids, as a flat tuple of ints.
+
+    The ids of the quasi vertices in id order, then each path's vertex
+    itinerary (the source of its first arrow, then the target of each arrow)
+    in partition order, each part led by its length.  The partition covers
+    every arrow, so two quivers on the same vertices and frozen set with
+    equal signatures differ only in arrow ids; mutation leaves the vertex
+    set and frozen set alone, so within one exploration the signature
+    identifies a vertex-labelled quiver.
+    """
+    arrows = quiver.arrows
+    sig = sorted(v.id for v in quiver.vertices.values() if v.kind == QUASI)
+    sig.insert(0, len(sig))
+    for path in quiver.partition:
+        sig.append(len(path))
+        if path:
+            sig.append(arrows[path[0]].src)
+            sig.extend([arrows[aid].tgt for aid in path])
+    return tuple(sig)
+
+
 def explore(seed: Seed, max_nodes: int = 100000,
             max_depth: int | None = None) -> ExchangeGraph:
     """Breadth-first closure under mutation with cluster deduplication.
@@ -266,9 +298,19 @@ def explore(seed: Seed, max_nodes: int = 100000,
     neighbour at t and is not mutated at t again.  A cluster found again
     along another path keeps the seed, and so the vertex labelling, of the
     path that created it, so no reverse edge is recorded for it.
+
+    Clusters that carry the same vertex-labelled quiver (equal
+    ``_quiver_signature``) share one quiver object, the root's included, so
+    stored seeds must not be edited in place.  A transition table for this
+    call maps (shared quiver, t) to the classification and the child's
+    shared quiver, so each shared quiver is classified and mutated at t
+    once.  A child quiver that is neither shared already nor the quiver of
+    a newly stored cluster is dropped, and its transition is not recorded.
     """
     g = ExchangeGraph()
     relations: dict = {}
+    interned = {_quiver_signature(seed.quiver): seed.quiver}
+    transitions: dict = {}   # (quiver, t) -> (classification, child quiver)
     k0 = seed.cluster_key()
     g.nodes[k0] = seed
     g.paths[k0] = ()
@@ -282,15 +324,32 @@ def explore(seed: Seed, max_nodes: int = 100000,
         if max_depth is not None and len(path) >= max_depth:
             continue
         s = g.nodes[k]
+        q = s.quiver
         nbrs = g.adjacency.setdefault(k, {})
-        for t in s.quiver.mutable_ids():
+        for t in q.mutable_ids():
             if t in nbrs:
                 continue   # the mutation that created k leads back to its parent
-            child = mutate_seed(s, t, relations=relations)
+            known = transitions.get((q, t))
+            unshared = None   # signature of a child quiver not shared yet
+            if known is not None:
+                cls, cq = known
+            else:
+                cls = q.classify_vertex(t)
+                cq = q.mutate(t, cls)
+                sig = _quiver_signature(cq)
+                if sig in interned:
+                    cq = interned[sig]
+                    transitions[q, t] = (cls, cq)
+                else:
+                    unshared = sig
+            child = mutate_seed(s, t, cls, relations, quiver=cq)
             ck = child.cluster_key()
             if ck not in g.nodes:
                 if len(g.nodes) >= max_nodes:
                     raise LimitExceeded(f"node budget {max_nodes} exhausted", g)
+                if unshared is not None:
+                    interned[unshared] = cq
+                    transitions[q, t] = (cls, cq)
                 g.nodes[ck] = child
                 g.paths[ck] = child_path = path + (t,)
                 g.adjacency[ck] = {t: k}

@@ -76,6 +76,19 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_bool(value, name: str) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, not {value!r}")
+    return value
+
+
+def _json_kind(value) -> str:
+    if value not in (ORDINARY, QUASI):
+        raise ValueError(f"vertex kind must be {ORDINARY!r} or {QUASI!r}, "
+                         f"not {value!r}")
+    return value
+
+
 class PartitionedQuiver:
     def __init__(self, vertices, arrows, partition):
         self.vertices: dict[int, Vertex] = {v.id: v for v in vertices}
@@ -511,9 +524,11 @@ class PartitionedQuiver:
     @classmethod
     def from_json(cls, data: dict) -> "PartitionedQuiver":
         """Inverse of ``to_json``; raises ValueError naming the field when an
-        id, an endpoint or a partition entry is not an integer."""
+        id, an endpoint or a partition entry is not an integer, a vertex's
+        ``frozen`` is not a bool or its ``kind`` is not a known kind."""
         vertices = [Vertex(_json_int(v["id"], "vertex id"),
-                           bool(v.get("frozen", False)), v.get("kind", ORDINARY))
+                           _json_bool(v.get("frozen", False), "vertex frozen"),
+                           _json_kind(v.get("kind", ORDINARY)))
                     for v in data["vertices"]]
         arrows = [Arrow(_json_int(a["id"], "arrow id"),
                         _json_int(a["src"], "arrow src"),

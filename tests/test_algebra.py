@@ -229,16 +229,83 @@ def test_mutate_seed_with_relations_memo():
         assert relations
 
 
+def explored(fixture, max_nodes=100000, **seed_kwargs):
+    """The graph of explore(initial_seed(...)), partial if the budget ends it."""
+    seed = initial_seed(named_fixture(fixture).build_quiver(), **seed_kwargs)
+    try:
+        return explore(seed, max_nodes=max_nodes)
+    except LimitExceeded as exc:
+        return exc.graph
+
+
+def quiver_shape(q):
+    """Vertex kinds and path itineraries: the quiver up to arrow ids."""
+    paths = tuple((q.arrows[p[0]].src,) + tuple(q.arrows[a].tgt for a in p)
+                  for p in q.partition)
+    kinds = tuple(sorted((v.id, v.frozen, v.kind) for v in q.vertices.values()))
+    return kinds, paths
+
+
+FIXTURES = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
+            "polygon:6", "annulus-crosscap", "mobius-three-arc", "three-boundary"]
+INFINITE_TYPE = {"annulus-crosscap", "three-boundary"}
+
+
 def test_adjacency_matches_fresh_mutation():
-    g = explore(initial_seed(mobius_fan(3).build_quiver(), coeff_free=True))
-    # more edges than a tree: some clusters are reached along several paths,
-    # and keep the seed (and vertex labelling) of the path that created them
-    assert g.edge_count() > g.node_count() - 1
-    for k in g.complete:
-        s = g.nodes[k]
-        assert sorted(g.adjacency[k]) == s.quiver.mutable_ids()
-        for t, ck in g.adjacency[k].items():
-            assert mutate_seed(s, t).cluster_key() == ck
+    # mobius:3 shares no quiver between clusters; annulus-crosscap at 2,000
+    # nodes reuses recorded transitions
+    for g in (explored("mobius:3", coeff_free=True),
+              explored("annulus-crosscap", 2000, coeff_free=True,
+                       tracking="denominator")):
+        # more edges than a tree: some clusters are reached along several
+        # paths, and keep the seed (and vertex labelling) of the path that
+        # created them
+        assert g.edge_count() > g.node_count() - 1
+        for k in g.complete:
+            s = g.nodes[k]
+            assert sorted(g.adjacency[k]) == s.quiver.mutable_ids()
+            for t, ck in g.adjacency[k].items():
+                assert mutate_seed(s, t).cluster_key() == ck
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_shared_quivers_match_a_fresh_replay(fixture):
+    # explore shares one quiver object per vertex-labelled quiver and reuses
+    # classifications and child quivers; a replay of each witness path with
+    # plain mutation (mutate_seed without a classification, child quiver or
+    # memo classifies and mutates its own quiver) must agree with every node
+    tracking = "denominator" if fixture in INFINITE_TYPE else "exact"
+    g = explored(fixture, 500, tracking=tracking)
+    replay = {(): g.nodes[g.root]}
+    for k, path in sorted(g.paths.items(), key=lambda kv: kv[1]):
+        if path:
+            replay[path] = mutate_seed(replay[path[:-1]], path[-1])
+        fresh, stored = replay[path], g.nodes[k]
+        assert quiver_shape(stored.quiver) == quiver_shape(fresh.quiver)
+        assert fresh.cluster_key() == k
+        assert fresh.values == stored.values
+
+
+def test_explore_shares_quivers_and_transitions_per_call(monkeypatch):
+    classifications = counting(monkeypatch, PartitionedQuiver, "classify_vertex")
+    mutations = counting(monkeypatch, algebra, "mutate_seed")
+    seed = initial_seed(annulus_crosscap().build_quiver(), coeff_free=True,
+                        tracking="denominator")
+    counts = []
+    for _ in range(2):
+        classifications[0] = mutations[0] = 0
+        with pytest.raises(LimitExceeded) as err:
+            explore(seed, max_nodes=2000)
+        counts.append(classifications[0])
+        # clusters outnumber their vertex-labelled quivers, so classifications
+        # and quiver mutations are reused across clusters
+        assert classifications[0] < mutations[0]
+        g = err.value.graph
+        shapes = {quiver_shape(s.quiver) for s in g.nodes.values()}
+        assert len({id(s.quiver) for s in g.nodes.values()}) == len(shapes)
+        assert len(shapes) < g.node_count()
+    # the transition table lives for one call
+    assert counts[0] == counts[1]
 
 
 def test_mutate_seed_with_given_classification():
@@ -248,6 +315,20 @@ def test_mutate_seed_with_given_classification():
         made = mutate_seed(seed, t)
         assert given.quiver.to_json() == made.quiver.to_json()
         assert given.values == made.values
+
+
+
+def test_mutate_seed_with_given_child_quiver():
+    seed = initial_seed(mobius_fan(3).build_quiver())
+    for t in seed.quiver.mutable_ids():
+        made = mutate_seed(seed, t)
+        cls = seed.quiver.classify_vertex(t)
+        given = mutate_seed(seed, t, cls, quiver=seed.quiver.mutate(t, cls))
+        assert given.quiver.to_json() == made.quiver.to_json()
+        assert given.values == made.values
+        # the child quiver is used as it is, not rebuilt
+        again = mutate_seed(seed, t, cls, quiver=given.quiver)
+        assert again.quiver is given.quiver
 
 
 def test_depth_limit():

@@ -180,6 +180,12 @@ string_vertex_id = edited_quiver(lambda d: d["vertices"][0].update(id="1"))
 partition_unknown_arrow = edited_quiver(lambda d: d["partition"][0].append(999))
 
 
+def vertex_one(**fields):
+    """An input maker: mobius:3 with ``fields`` set on its mutable vertex 1."""
+    return edited_quiver(lambda d: next(
+        v for v in d["vertices"] if v["id"] == 1).update(fields))
+
+
 @pytest.mark.parametrize("make_input, argv", [
     (quiver_file, ("mutate", "--seq", "1,x")),
     (None, ("explore", "--fixture", "nope")),
@@ -196,12 +202,16 @@ partition_unknown_arrow = edited_quiver(lambda d: d["partition"][0].append(999))
     (arrow_src_list, ("export", "--dot")),
     (string_vertex_id, ("export", "--dot")),
     (partition_unknown_arrow, ("export", "--dot")),
+    (vertex_one(kind="banana"), ("mutate", "--at", "1")),
+    (vertex_one(kind=[1]), ("verify",)),
+    (vertex_one(frozen="no"), ("verify",)),
 ], ids=["seq-not-int", "unknown-fixture", "fixture-size-not-int",
         "mobius-0", "polygon-3", "surface-polygon-2", "mutate-arrow-without-src",
         "verify-arrow-without-src", "export-arrow-without-src",
         "mutate-arrow-to-unknown-vertex", "mutate-arrow-src-list",
         "verify-arrow-src-list", "export-dot-arrow-src-list",
-        "export-dot-string-vertex-id", "export-dot-unknown-arrow"])
+        "export-dot-string-vertex-id", "export-dot-unknown-arrow",
+        "mutate-unknown-kind", "verify-kind-list", "verify-frozen-string"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_input, argv):
     if make_input is not None:
         argv += ("--in", str(make_input(tmp_path, capsys)))

@@ -215,6 +215,23 @@ def test_from_json_rejects_ids_that_are_not_integers(field, edit):
         PartitionedQuiver.from_json(data)
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("vertex kind", lambda v: v.update(kind="banana")),
+    ("vertex kind", lambda v: v.update(kind=[1])),
+    ("vertex frozen", lambda v: v.update(frozen="no")),
+    ("vertex frozen", lambda v: v.update(frozen=1)),
+], ids=["kind-unknown", "kind-list", "frozen-string", "frozen-int"])
+def test_from_json_rejects_bad_vertex_fields(field, edit):
+    data = seven_arc_quiver().to_json()
+    edit(data["vertices"][0])
+    with pytest.raises(ValueError, match=field):
+        PartitionedQuiver.from_json(data)
+    for v in data["vertices"]:   # absent fields take their defaults
+        del v["kind"], v["frozen"]
+    back = PartitionedQuiver.from_json(data)
+    assert all(not v.frozen and v.kind == "ordinary" for v in back.vertices.values())
+
+
 @pytest.mark.parametrize("itinerary", [
     [8, 1, 2, 3, 2, 4, 1, 9],   # the only i-k arrow leaves k where a4 ends
     [8, 4, 1, 2, 3, 2, 4, 9],   # the only i-k arrow enters i where a1 starts
