@@ -14,7 +14,7 @@ from .surface import (InvalidTriangulation, NonTriangulable, NotFlippable,
                       euler_characteristic_nonorientable, mobius_fan,
                       mobius_three_arc, named_fixture, polygon_fan,
                       three_boundary)
-from .algebra import (ExchangeGraph, LimitExceeded, Seed,
+from .algebra import (ExchangeGraph, LimitExceeded, Seed, SeedMismatch,
                       check_laurent_positive, explore, initial_seed,
                       mobius_variable_count, mutate_seed,
                       polygon_variable_count, unistructurality_scan)

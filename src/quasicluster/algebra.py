@@ -282,6 +282,49 @@ def _quiver_signature(quiver: PartitionedQuiver) -> tuple[int, ...]:
     return tuple(sig)
 
 
+class SeedMismatch(RuntimeError):
+    """Two seeds with one cluster carry different quivers under the map
+    that matches their values: the cluster does not determine the seed."""
+
+
+def _shape(quiver: PartitionedQuiver, rename: dict[int, int]) -> tuple:
+    """The quiver up to arrow ids, each vertex id passed through ``rename``
+    (ids it lacks stay): the sorted (id, frozen, kind) triples and the sorted
+    multiset of path itineraries."""
+    get = rename.get
+    arrows = quiver.arrows
+    kinds = sorted((get(v.id, v.id), v.frozen, v.kind)
+                   for v in quiver.vertices.values())
+    paths = []
+    for p in quiver.partition:
+        if p:
+            stops = [arrows[p[0]].src, *[arrows[a].tgt for a in p]]
+            paths.append(tuple(map(get, stops, stops)))
+    paths.sort()
+    return kinds, paths
+
+
+def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
+    """Map the mutable vertices of ``child`` to those of ``stored``, two seeds
+    with the same cluster, by equal value serialization.
+
+    Returns None when a value repeats in the cluster, since no one-to-one map
+    exists then.  Raises SeedMismatch unless the two quivers agree under the
+    map, frozen vertices mapping to themselves: the same (id, frozen, kind)
+    for every vertex and the same multiset of path itineraries.
+    """
+    at = {lf.canonical_serialize(): v for v, lf in stored.values.items()}
+    if len(at) != len(stored.values):
+        return None
+    rename = {v: at[lf.canonical_serialize()] for v, lf in child.values.items()}
+    if child.quiver is stored.quiver and all(v == u for v, u in rename.items()):
+        return rename   # one quiver object under the identity map
+    if _shape(child.quiver, rename) != _shape(stored.quiver, {}):
+        raise SeedMismatch("two seeds of one cluster carry different quivers "
+                           "under the map that matches their values")
+    return rename
+
+
 def explore(seed: Seed, max_nodes: int = 100000,
             max_depth: int | None = None) -> ExchangeGraph:
     """Breadth-first closure under mutation with cluster deduplication.
@@ -293,11 +336,17 @@ def explore(seed: Seed, max_nodes: int = 100000,
 
     Each exchange relation is computed once per call: one memo of exchanged
     values (see ``mutate_seed``) lives for this call only, so separate calls
-    on the same seed do the same work.  Mutation is an involution, so a
-    cluster first created from k by mutating at t records k as its
-    neighbour at t and is not mutated at t again.  A cluster found again
-    along another path keeps the seed, and so the vertex labelling, of the
-    path that created it, so no reverse edge is recorded for it.
+    on the same seed do the same work.  Each edge of the exchange graph is
+    computed once too, since mutation is an involution.  A cluster first
+    created from k by mutating at t records k as its neighbour at t.  A
+    cluster found again from k at t keeps the seed of the path that created
+    it, so its vertex back to k is the vertex u whose value equals the new
+    value at t (``match_seeds``, which raises SeedMismatch if the stored
+    seed's quiver differs from the new one under that value map).  That edge
+    is held until the cluster is expanded and only then recorded at u, the
+    moment it would be computed, so the graph, partial graphs included, is
+    the one that mutating at u would give.  Held edges of clusters never
+    expanded are dropped; a cluster that repeats a value holds none.
 
     Clusters that carry the same vertex-labelled quiver (equal
     ``_quiver_signature``) share one quiver object, the root's included, so
@@ -311,6 +360,7 @@ def explore(seed: Seed, max_nodes: int = 100000,
     relations: dict = {}
     interned = {_quiver_signature(seed.quiver): seed.quiver}
     transitions: dict = {}   # (quiver, t) -> (classification, child quiver)
+    pending: dict = {}       # unexpanded cluster -> {vertex: neighbour cluster}
     k0 = seed.cluster_key()
     g.nodes[k0] = seed
     g.paths[k0] = ()
@@ -326,9 +376,13 @@ def explore(seed: Seed, max_nodes: int = 100000,
         s = g.nodes[k]
         q = s.quiver
         nbrs = g.adjacency.setdefault(k, {})
+        held = pending.pop(k, {})
         for t in q.mutable_ids():
             if t in nbrs:
                 continue   # the mutation that created k leads back to its parent
+            if t in held:
+                nbrs[t] = held[t]   # found from that neighbour already
+                continue
             known = transitions.get((q, t))
             unshared = None   # signature of a child quiver not shared yet
             if known is not None:
@@ -356,6 +410,10 @@ def explore(seed: Seed, max_nodes: int = 100000,
                 queue.append(ck)
                 for lf in child.values.values():
                     g.variables.setdefault(lf.canonical_serialize(), (lf, child_path))
+            elif ck not in g.complete:   # found again: hold the edge back to k
+                rename = match_seeds(child, g.nodes[ck])
+                if rename is not None:
+                    pending.setdefault(ck, {})[rename[t]] = k
             nbrs[t] = ck
         g.complete.add(k)
     if len(g.complete) != len(g.nodes):

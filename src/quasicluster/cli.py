@@ -1,8 +1,8 @@
 """Command line front end: fixtures, mutation driving, exploration, export
 and the verification suites.
 
-Exit codes: 0 success, 1 property violation (including a Laurent violation),
-2 invalid input.
+Exit codes: 0 success, 1 property violation (a Laurent violation, or two
+seeds of one cluster with different quivers), 2 invalid input.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import sys
 import time
 
 from . import verify
-from .algebra import (LimitExceeded, explore, initial_seed, mutate_seed,
-                      relation_text)
+from .algebra import (LimitExceeded, SeedMismatch, explore, initial_seed,
+                      mutate_seed, relation_text)
 from .laurent import LaurentViolation
 from .pquiver import ClassificationError, PartitionedQuiver
 from .surface import InvalidTriangulation, QuasiTriangulation, named_fixture
@@ -25,8 +25,11 @@ class InputError(ValueError):
 
 def _write(text: str, out: str | None):
     if out and out != "-":
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -120,6 +123,10 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.max_nodes < 1:
+        raise InputError(f"--max-nodes must be at least 1, not {args.max_nodes}")
+    if args.max_depth is not None and args.max_depth < 0:
+        raise InputError(f"--max-depth must be at least 0, not {args.max_depth}")
     if args.infile:
         tri = _load_triangulation(args.infile)
     elif args.fixture:
@@ -265,7 +272,7 @@ def main(argv=None) -> int:
     except (InvalidTriangulation, ClassificationError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except LaurentViolation as exc:
+    except (LaurentViolation, SeedMismatch) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
 

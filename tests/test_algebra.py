@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from quasicluster import algebra
-from quasicluster.algebra import (LimitExceeded, check_laurent_positive,
-                                  exchange_value, explore, initial_seed,
+from quasicluster import algebra, verify
+from quasicluster.algebra import (LimitExceeded, Seed, SeedMismatch,
+                                  check_laurent_positive, exchange_value,
+                                  explore, initial_seed, match_seeds,
                                   mobius_variable_count, mutate_seed,
                                   polygon_variable_count, relation_text,
                                   unistructurality_scan)
+from quasicluster.cli import main
 from quasicluster.laurent import LaurentForm, LaurentViolation
 from quasicluster.pquiver import PartitionedQuiver, VertexClassification
 from quasicluster.surface import (annulus_crosscap, mobius_fan, named_fixture,
@@ -170,9 +172,10 @@ def test_each_mutation_classifies_once(monkeypatch):
     mutations = counting(monkeypatch, algebra, "mutate_seed")
     classifications = counting(monkeypatch, PartitionedQuiver, "classify_vertex")
     g = explore(initial_seed(mobius_fan(3).build_quiver(), coeff_free=True))
-    # each non-root cluster already knows its parent through the mutation
-    # that created it, so that mutation is not made again
-    assert mutations[0] == 3 * g.node_count() - (g.node_count() - 1)
+    # mutation is an involution, so each edge is computed from one end only:
+    # a cluster knows its neighbour at the vertex that created it, and at
+    # the vertex whose value matches a later rediscovery of it
+    assert mutations[0] == g.edge_count() == 33
     assert classifications[0] == mutations[0]
 
 
@@ -252,20 +255,107 @@ INFINITE_TYPE = {"annulus-crosscap", "three-boundary"}
 
 
 def test_adjacency_matches_fresh_mutation():
-    # mobius:3 shares no quiver between clusters; annulus-crosscap at 2,000
-    # nodes reuses recorded transitions
+    # mobius:3 and mobius:5 share no quiver between clusters; annulus-crosscap
+    # and three-boundary at 2,000 nodes reuse recorded transitions
     for g in (explored("mobius:3", coeff_free=True),
+              explored("mobius:5", coeff_free=True),
               explored("annulus-crosscap", 2000, coeff_free=True,
-                       tracking="denominator")):
+                       tracking="denominator"),
+              explored("three-boundary", 2000, tracking="denominator")):
         # more edges than a tree: some clusters are reached along several
         # paths, and keep the seed (and vertex labelling) of the path that
-        # created them
+        # created them; the edges back to those paths are keyed by value
         assert g.edge_count() > g.node_count() - 1
         for k in g.complete:
             s = g.nodes[k]
             assert sorted(g.adjacency[k]) == s.quiver.mutable_ids()
             for t, ck in g.adjacency[k].items():
                 assert mutate_seed(s, t).cluster_key() == ck
+
+
+def relabelled(seed, perm):
+    """``seed`` with its mutable vertex ids renamed by ``perm``: the same
+    seed up to vertex labels."""
+    data = seed.quiver.to_json()
+    for v in data["vertices"]:
+        v["id"] = perm.get(v["id"], v["id"])
+    for a in data["arrows"]:
+        a["src"] = perm.get(a["src"], a["src"])
+        a["tgt"] = perm.get(a["tgt"], a["tgt"])
+    values = {perm[v]: lf for v, lf in seed.values.items()}
+    return Seed(PartitionedQuiver.from_json(data), seed.context, values,
+                seed.frozen)
+
+
+def test_match_seeds_maps_by_value_and_checks_the_quiver():
+    stored = initial_seed(mobius_fan(3).build_quiver())
+    swap = {1: 2, 2: 1, 3: 3}
+    child = relabelled(stored, swap)
+    assert child.cluster_key() == stored.cluster_key()
+    assert quiver_shape(child.quiver) != quiver_shape(stored.quiver)
+    # a relabelled copy of the stored seed matches under the value map
+    assert match_seeds(child, stored) == swap
+    assert match_seeds(stored, stored) == {1: 1, 2: 2, 3: 3}
+    # the same cluster on the relabelled quiver is another seed
+    wrong = Seed(child.quiver, stored.context, stored.values, stored.frozen)
+    with pytest.raises(SeedMismatch):
+        match_seeds(wrong, stored)
+    # the same cluster on a mutated quiver: the map is the identity, the
+    # quivers differ
+    wrong = Seed(stored.quiver.mutate(2), stored.context, stored.values,
+                 stored.frozen)
+    with pytest.raises(SeedMismatch):
+        match_seeds(wrong, stored)
+    # no one-to-one value map when a value repeats: nothing is matched
+    ones = all_ones_seed(stored.quiver)
+    assert match_seeds(ones, ones) is None
+
+
+def corrupt_rediscoveries(monkeypatch):
+    """Make mutate_seed give every cluster it returns a second time the
+    quiver of the seed it mutated: a cluster then no longer determines its
+    seed."""
+    original = algebra.mutate_seed
+    returned = set()
+
+    def corrupted(seed, t, *args, **kwargs):
+        returned.add(seed.cluster_key())
+        child = original(seed, t, *args, **kwargs)
+        if child.cluster_key() not in returned:
+            returned.add(child.cluster_key())
+            return child
+        return Seed(seed.quiver, child.context, child.values, child.frozen)
+
+    monkeypatch.setattr(algebra, "mutate_seed", corrupted)
+
+
+def test_explore_raises_when_a_cluster_does_not_determine_its_seed(
+        monkeypatch, capsys):
+    corrupt_rediscoveries(monkeypatch)
+    with pytest.raises(SeedMismatch):
+        explore(initial_seed(mobius_fan(3).build_quiver(), coeff_free=True))
+    # the command line reports it as a property violation
+    assert main(["explore", "--fixture", "mobius:3", "--coeff-free"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("property violation: ")
+
+
+def test_valid_explorations_never_raise_seed_mismatch(monkeypatch):
+    matched = []
+    original = algebra.match_seeds
+
+    def recorded(child, stored):
+        matched.append(original(child, stored))
+        return matched[-1]
+
+    monkeypatch.setattr(algebra, "match_seeds", recorded)
+    for fixture in FIXTURES:
+        tracking = "denominator" if fixture in INFINITE_TYPE else "exact"
+        explored(fixture, 500, tracking=tracking)
+        explored(fixture, 500, coeff_free=True, tracking=tracking)
+    assert verify.suite_budget(max_nodes=2000).ok
+    # every rediscovery was checked, and no cluster repeats a value
+    assert matched and None not in matched
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -362,6 +452,48 @@ def test_tracking_modes_agree_on_infinite_type_fragment():
     exact_dvecs = sorted(denominator_vector(lf).canonical_serialize()
                          for lf, _ in ge.variables.values())
     assert exact_dvecs == sorted(gd.variables)
+
+
+def test_tracking_modes_agree_at_depth_6():
+    # a deeper fragment than depth 3: 464 clusters, each exact cluster
+    # mapping onto a denominator cluster by its denominator vectors
+    from quasicluster.laurent import denominator_vector
+    q = annulus_crosscap().build_quiver()
+    got = {}
+    for mode in ("exact", "denominator"):
+        with pytest.raises(LimitExceeded) as err:
+            explore(initial_seed(q, coeff_free=True, tracking=mode), max_depth=6)
+        got[mode] = err.value.graph
+    ge, gd = got["exact"], got["denominator"]
+    assert ge.node_count() == 464
+    images = {tuple(sorted(denominator_vector(ge.nodes[k].values[v])
+                           .canonical_serialize() for v in ge.nodes[k].values))
+              for k in ge.nodes}
+    assert images == set(gd.nodes)
+    assert ge.edge_count() == gd.edge_count()
+
+
+@pytest.mark.parametrize("fixture, coeff_free", [
+    ("mobius:2", True), ("mobius:3", True), ("mobius:4", True),
+    ("mobius:5", True), ("polygon:6", True), ("mobius:3", False)])
+def test_closed_exchange_graph_is_a_pseudomanifold(fixture, coeff_free):
+    # two clusters that share all but one variable are the two ends of one
+    # exchange, and each cluster has n of them: an oracle on the recorded
+    # edges that does not call mutate_seed
+    g = explore(initial_seed(named_fixture(fixture).build_quiver(),
+                             coeff_free=coeff_free))
+    n = len(g.nodes[g.root].values)
+    faces = {}
+    for k in g.nodes:
+        for i in range(n):
+            faces.setdefault(k[:i] + k[i + 1:], []).append(k)
+    edges = {frozenset((k, ck)) for k, nbrs in g.adjacency.items()
+             for ck in nbrs.values()}
+    assert all(len(ks) <= 2 for ks in faces.values())
+    pairs = [frozenset(ks) for ks in faces.values() if len(ks) == 2]
+    assert all(pair in edges for pair in pairs)
+    assert len(pairs) == g.edge_count()
+    assert 2 * g.edge_count() == g.node_count() * n
 
 
 def test_dot_dashes_incomplete_nodes():

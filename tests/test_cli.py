@@ -205,13 +205,19 @@ def vertex_one(**fields):
     (vertex_one(kind="banana"), ("mutate", "--at", "1")),
     (vertex_one(kind=[1]), ("verify",)),
     (vertex_one(frozen="no"), ("verify",)),
+    (None, ("explore", "--fixture", "mobius:2", "--json", "/nonexistent/x.json")),
+    (None, ("surface", "mobius", "--marked", "2", "--out", "/nonexistent/x.json")),
+    (None, ("explore", "--fixture", "mobius:2", "--max-nodes", "-3")),
+    (None, ("explore", "--fixture", "mobius:2", "--max-depth", "-1")),
 ], ids=["seq-not-int", "unknown-fixture", "fixture-size-not-int",
         "mobius-0", "polygon-3", "surface-polygon-2", "mutate-arrow-without-src",
         "verify-arrow-without-src", "export-arrow-without-src",
         "mutate-arrow-to-unknown-vertex", "mutate-arrow-src-list",
         "verify-arrow-src-list", "export-dot-arrow-src-list",
         "export-dot-string-vertex-id", "export-dot-unknown-arrow",
-        "mutate-unknown-kind", "verify-kind-list", "verify-frozen-string"])
+        "mutate-unknown-kind", "verify-kind-list", "verify-frozen-string",
+        "explore-json-unwritable", "surface-out-unwritable",
+        "explore-negative-max-nodes", "explore-negative-max-depth"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_input, argv):
     if make_input is not None:
         argv += ("--in", str(make_input(tmp_path, capsys)))
