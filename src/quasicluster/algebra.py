@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .laurent import Context, DenominatorVector, LaurentForm, LaurentViolation
-from .pquiver import (QUASI, V1, V2, V3, V4, PartitionedQuiver,
-                      VertexClassification)
+from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
 
 
 @dataclass
@@ -168,12 +168,17 @@ class ExchangeGraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def edge_count(self) -> int:
-        seen = set()
+    def _edges(self):
+        """(k, t, ck) for each edge {k, ck}, with the first vertex label
+        recorded for it."""
+        first = {}
         for k, nbrs in self.adjacency.items():
             for t, ck in nbrs.items():
-                seen.add(frozenset((k, ck)))
-        return len(seen)
+                first.setdefault(frozenset((k, ck)), (k, t, ck))
+        return first.values()
+
+    def edge_count(self) -> int:
+        return len(self._edges())
 
     def variable_count(self) -> int:
         return len(self.variables)
@@ -216,6 +221,9 @@ class ExchangeGraph:
         return sorted(self.nodes)
 
     def to_json(self) -> dict:
+        """Nodes in key order and one ``edges`` entry per (node pair, vertex
+        label): an edge whose two ends label it differently appears twice,
+        so the distinct (a, b) pairs number ``edge_count()``."""
         keys = self.sorted_keys()
         index = {k: i for i, k in enumerate(keys)}
         edges = sorted(
@@ -248,37 +256,30 @@ class ExchangeGraph:
         for k in keys:
             style = "" if k in self.complete else " [style=dashed]"
             lines.append(f'  "{index[k]}"{style};')
-        drawn = set()
-        for k, nbrs in self.adjacency.items():
-            for t, ck in nbrs.items():
-                e = frozenset((k, ck))
-                if e in drawn:
-                    continue
-                drawn.add(e)
-                lines.append(f'  "{index[k]}" -- "{index[ck]}" [label="{t}"];')
+        for k, t, ck in self._edges():
+            lines.append(f'  "{index[k]}" -- "{index[ck]}" [label="{t}"];')
         lines.append("}")
         return "\n".join(lines)
 
 
-def _quiver_signature(quiver: PartitionedQuiver) -> tuple[int, ...]:
-    """The quiver up to arrow ids, as a flat tuple of ints.
+def _quiver_signature(quiver: PartitionedQuiver,
+                      rename: dict[int, int] | None = None) -> tuple:
+    """The quiver up to arrow ids, as a flat tuple, each vertex id passed
+    through ``rename`` (ids it lacks stay).
 
-    The ids of the quasi vertices in id order, then each path's vertex
-    itinerary (the source of its first arrow, then the target of each arrow)
-    in partition order, each part led by its length.  The partition covers
-    every arrow, so two quivers on the same vertices and frozen set with
-    equal signatures differ only in arrow ids; mutation leaves the vertex
-    set and frozen set alone, so within one exploration the signature
-    identifies a vertex-labelled quiver.
+    The vertex count and every vertex's (id, frozen, kind) in id order, then
+    each path's vertex itinerary in partition order, led by its length, so
+    negative vertex ids, which ``from_json`` accepts, cannot make two
+    quivers collide.  The partition covers every arrow, so two quivers with
+    equal signatures differ only in arrow ids.
     """
-    arrows = quiver.arrows
-    sig = sorted(v.id for v in quiver.vertices.values() if v.kind == QUASI)
-    sig.insert(0, len(sig))
-    for path in quiver.partition:
-        sig.append(len(path))
-        if path:
-            sig.append(arrows[path[0]].src)
-            sig.extend([arrows[aid].tgt for aid in path])
+    get = (rename or {}).get
+    triples = sorted((get(v.id, v.id), v.frozen, v.kind)
+                     for v in quiver.vertices.values())
+    sig = [len(triples), *chain.from_iterable(triples)]
+    for p in quiver.itineraries():
+        sig.append(len(p))
+        sig += map(get, p, p) if rename else p
     return tuple(sig)
 
 
@@ -287,31 +288,15 @@ class SeedMismatch(RuntimeError):
     that matches their values: the cluster does not determine the seed."""
 
 
-def _shape(quiver: PartitionedQuiver, rename: dict[int, int]) -> tuple:
-    """The quiver up to arrow ids, each vertex id passed through ``rename``
-    (ids it lacks stay): the sorted (id, frozen, kind) triples and the sorted
-    multiset of path itineraries."""
-    get = rename.get
-    arrows = quiver.arrows
-    kinds = sorted((get(v.id, v.id), v.frozen, v.kind)
-                   for v in quiver.vertices.values())
-    paths = []
-    for p in quiver.partition:
-        if p:
-            stops = [arrows[p[0]].src, *[arrows[a].tgt for a in p]]
-            paths.append(tuple(map(get, stops, stops)))
-    paths.sort()
-    return kinds, paths
-
-
 def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     """Map the mutable vertices of ``child`` to those of ``stored``, two seeds
     with the same cluster, by equal value serialization.
 
     Returns None when a value repeats in the cluster, since no one-to-one map
     exists then.  Raises SeedMismatch unless the two quivers agree under the
-    map, frozen vertices mapping to themselves: the same (id, frozen, kind)
-    for every vertex and the same multiset of path itineraries.
+    map, frozen vertices mapping to themselves: equal ``_quiver_signature``,
+    that is the same (id, frozen, kind) for every vertex and the same path
+    itineraries in partition order (mutation never reorders the partition).
     """
     at = {lf.canonical_serialize(): v for v, lf in stored.values.items()}
     if len(at) != len(stored.values):
@@ -319,7 +304,7 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     rename = {v: at[lf.canonical_serialize()] for v, lf in child.values.items()}
     if child.quiver is stored.quiver and all(v == u for v, u in rename.items()):
         return rename   # one quiver object under the identity map
-    if _shape(child.quiver, rename) != _shape(stored.quiver, {}):
+    if _quiver_signature(child.quiver, rename) != _quiver_signature(stored.quiver):
         raise SeedMismatch("two seeds of one cluster carry different quivers "
                            "under the map that matches their values")
     return rename

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -32,6 +33,19 @@ def _write(text: str, out: str | None):
             raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _check_writable(out: str | None):
+    """Raise InputError unless path ``out`` can be opened for writing, leaving
+    no new file and no truncated one behind (None or "-" is standard output)."""
+    if out and out != "-":
+        existed = os.path.lexists(out)
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
+        if not existed:
+            os.remove(out)
 
 
 def _load_json(path: str) -> dict:
@@ -127,6 +141,8 @@ def cmd_explore(args) -> int:
         raise InputError(f"--max-nodes must be at least 1, not {args.max_nodes}")
     if args.max_depth is not None and args.max_depth < 0:
         raise InputError(f"--max-depth must be at least 0, not {args.max_depth}")
+    for out in (args.json_out, args.dot_out):
+        _check_writable(out)   # before exploring, so a bad path costs nothing
     if args.infile:
         tri = _load_triangulation(args.infile)
     elif args.fixture:
@@ -184,15 +200,9 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     if args.infile:
         q = _load_quiver(args.infile)
-        failures = 0
-        for t in q.mutable_ids():
-            seed = initial_seed(q)
-            s2 = mutate_seed(mutate_seed(seed, t), t)
-            if s2.quiver.canonical_form() != q.canonical_form():
-                failures += 1
-            if any(s2.values[v].canonical_serialize()
-                   != seed.values[v].canonical_serialize() for v in seed.values):
-                failures += 1
+        seed = initial_seed(q)
+        failures = sum(not verify.involution_holds(seed, t)
+                       for t in q.mutable_ids())
         print(f"involution on input quiver: {failures} failures over "
               f"{len(q.mutable_ids())} vertices")
         return 0 if failures == 0 else 1

@@ -113,6 +113,14 @@ class PartitionedQuiver:
     def incident(self, t: int) -> list[Arrow]:
         return [a for a in self.arrows.values() if a.src == t or a.tgt == t]
 
+    def itineraries(self) -> list[list[int]]:
+        """Each path's vertex itinerary in partition order: the source of its
+        first arrow, then the target of every arrow (empty for an empty
+        path)."""
+        arrows = self.arrows
+        return [[arrows[p[0]].src, *[arrows[aid].tgt for aid in p]] if p else []
+                for p in self.partition]
+
     def _positions(self) -> dict[int, tuple[int, int]]:
         """Map each arrow id to its (path index, position in path)."""
         return {aid: (pi, pos) for pi, path in enumerate(self.partition)
@@ -438,13 +446,7 @@ class PartitionedQuiver:
         labelling; the minimum over path orders and per-path reversals is
         canonical.  Ties branch, so the result is exact.
         """
-        seqs = []
-        for path in self.partition:
-            if not path:
-                continue
-            seq = [self.arrows[path[0]].src]
-            seq.extend(self.arrows[aid].tgt for aid in path)
-            seqs.append(seq)
+        seqs = [seq for seq in self.itineraries() if seq]
         on_path = {v for s in seqs for v in s}
 
         def attr(vid):

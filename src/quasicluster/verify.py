@@ -64,6 +64,15 @@ def _random_seed_pool(rng: random.Random) -> list[Seed]:
     return pool
 
 
+def involution_holds(seed: Seed, t: int) -> bool:
+    """mu_t(mu_t(seed)) has the quiver of ``seed`` up to canonical form and
+    its values."""
+    s2 = mutate_seed(mutate_seed(seed, t), t)
+    return (s2.quiver.canonical_form() == seed.quiver.canonical_form()
+            and all(s2.values[v].canonical_serialize()
+                    == seed.values[v].canonical_serialize() for v in seed.values))
+
+
 def suite_involution(pairs: int = 1000, rng_seed: int = 20406) -> SuiteResult:
     """mu_t^2 = identity on quiver canonical form and variable assignments."""
     rng = random.Random(rng_seed)
@@ -73,14 +82,7 @@ def suite_involution(pairs: int = 1000, rng_seed: int = 20406) -> SuiteResult:
     t0 = time.perf_counter()
     for _ in range(pairs):
         s = rng.choice(pool)
-        t = rng.choice(s.quiver.mutable_ids())
-        s1 = mutate_seed(s, t)
-        s2 = mutate_seed(s1, t)
-        if s2.quiver.canonical_form() != s.quiver.canonical_form():
-            failures += 1
-            continue
-        if any(s2.values[v].canonical_serialize() != s.values[v].canonical_serialize()
-               for v in s.values):
+        if not involution_holds(s, rng.choice(s.quiver.mutable_ids())):
             failures += 1
     dt = time.perf_counter() - t0
     ok = _check(lines, failures == 0,

@@ -309,6 +309,47 @@ def test_match_seeds_maps_by_value_and_checks_the_quiver():
     # no one-to-one value map when a value repeats: nothing is matched
     ones = all_ones_seed(stored.quiver)
     assert match_seeds(ones, ones) is None
+    # a stored quiver that differs from the child's in one vertex's kind, in
+    # one path, in its frozen set or in the order of its paths is another seed
+    for edit in (lambda d: d["vertices"][2].update(kind="quasi"),
+                 lambda d: (d["arrows"][6].update(tgt=1),
+                            d["arrows"][7].update(src=1)),
+                 lambda d: d["vertices"][3].update(frozen=False),
+                 lambda d: d["partition"].reverse()):
+        data = stored.quiver.to_json()
+        edit(data)
+        other = Seed(PartitionedQuiver.from_json(data), stored.context,
+                     stored.values, stored.frozen)
+        with pytest.raises(SeedMismatch):
+            match_seeds(stored, other)
+
+
+def test_signature_sees_through_relabelling():
+    # on walks from every fixture, a copy with renamed mutable vertices has
+    # the original's signature once the renaming is undone
+    for fixture in FIXTURES:
+        rng = random.Random(fixture)
+        s = initial_seed(named_fixture(fixture).build_quiver(),
+                         tracking="denominator")
+        for _ in range(30):
+            ids = s.quiver.mutable_ids()
+            perm = dict(zip(ids, rng.sample(ids, len(ids))))
+            inverse = {u: v for v, u in perm.items()}
+            assert (algebra._quiver_signature(relabelled(s, perm).quiver, inverse)
+                    == algebra._quiver_signature(s.quiver))
+            s = mutate_seed(s, rng.choice(ids))
+
+
+def test_json_edges_list_each_label_of_an_edge():
+    # one entry per (node pair, vertex label): an edge whose two ends label
+    # it differently appears twice
+    g = explored("mobius:3", coeff_free=True)
+    edges = g.to_json()["edges"]
+    assert (len(edges), g.edge_count()) == (39, 33)
+    for g in (g, explored("annulus-crosscap", 2000, coeff_free=True,
+                          tracking="denominator")):
+        pairs = [(e["a"], e["b"]) for e in g.to_json()["edges"]]
+        assert len(set(pairs)) == g.edge_count() < len(pairs)
 
 
 def corrupt_rediscoveries(monkeypatch):

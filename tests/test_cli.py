@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from quasicluster import cli, verify
+from quasicluster.algebra import Seed
 from quasicluster.cli import main
 from quasicluster.pquiver import PartitionedQuiver
 from quasicluster.surface import QuasiTriangulation, annulus_crosscap
@@ -239,3 +241,44 @@ def test_mutate_classifies_each_vertex_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "mutate", "--in", str(qpath), "--seq", "1,2,3")
     assert code == 0 and out.count("[V") == 3
     assert calls[0] == 3
+
+
+@pytest.mark.parametrize("outputs", [
+    ("--json", "{tmp}/g.json", "--dot", "/nonexistent/g.dot"),
+    ("--json", "{tmp}/kept.json", "--dot", "/nonexistent/g.dot"),
+    ("--dot", "/nonexistent/g.dot"),
+    ("--json", "{tmp}"),
+], ids=["dot-unwritable", "dot-unwritable-json-exists", "dot-only", "json-is-a-dir"])
+def test_explore_checks_output_paths_before_exploring(tmp_path, capsys,
+                                                      monkeypatch, outputs):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("explored before checking the output paths")
+
+    monkeypatch.setattr(cli, "explore", not_reached)
+    (tmp_path / "kept.json").write_text("keep")
+    argv = [a.format(tmp=tmp_path) for a in outputs]
+    code, out, err = run(capsys, "explore", "--fixture", "mobius:2", *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith("error: cannot write ")
+    # no output file is left behind, and an existing one is not truncated
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+    assert (tmp_path / "kept.json").read_text() == "keep"
+
+
+def test_verify_in_counts_each_failing_vertex_once(tmp_path, capsys,
+                                                   monkeypatch):
+    qpath = quiver_file(tmp_path, capsys)
+
+    def broken(seed, t, *args, **kwargs):
+        # neither the quiver nor the value at t comes back after two steps
+        x = seed.values[t]
+        return Seed(PartitionedQuiver(seed.quiver.vertices.values(), [], []),
+                    seed.context, {**seed.values, t: x * x}, seed.frozen)
+
+    monkeypatch.setattr(cli, "mutate_seed", broken)
+    monkeypatch.setattr(verify, "mutate_seed", broken)
+    code, out, _ = run(capsys, "verify", "--in", str(qpath))
+    assert code == 1
+    assert "involution on input quiver: 3 failures over 3 vertices" in out
+    assert "5 randomized (seed, vertex) pairs, 5 failures" in \
+        verify.suite_involution(pairs=5).lines[0]
