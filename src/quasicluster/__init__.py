@@ -2,13 +2,14 @@
 surfaces: partitioned quivers, quasi-triangulations, the four local mutation
 rules, exact Laurent arithmetic and exchange-graph enumeration."""
 
-from .laurent import (Context, DenominatorVector, LaurentForm,
-                      LaurentViolation, NotDivisible, Polynomial,
-                      denominator_vector)
+from .laurent import (EXPONENT_LIMIT, Context, DenominatorVector,
+                      ExponentOverflow, LaurentForm, LaurentViolation,
+                      NotDivisible, Polynomial, denominator_vector)
 from .pquiver import (AmbiguousClosure, Arrow, ClassificationError,
                       PartitionedQuiver, Unclassifiable, Vertex,
                       VertexClassification)
-from .surface import (InvalidTriangulation, NonTriangulable, NotFlippable,
+from .surface import (MAX_FIXTURE_SIZE, InvalidTriangulation,
+                      NonTriangulable, NotFlippable,
                       QuasiTriangulation, SurfaceSignature, Triangle,
                       annulus_crosscap, arc_count,
                       euler_characteristic_nonorientable, mobius_fan,

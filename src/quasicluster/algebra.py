@@ -442,7 +442,7 @@ def check_laurent_positive(graph: ExchangeGraph) -> PositivityReport:
             raise ValueError("positivity check needs an exact-tracking graph")
         if not lf.is_reduced():
             failures.append((ser.decode(), "not in reduced form", path))
-        if lf.is_zero() or any(c <= 0 for c in lf.num.terms.values()):
+        if lf.is_zero() or any(c <= 0 for c in lf.num.coefficients()):
             failures.append((ser.decode(), "non-positive coefficient", path))
     return PositivityReport(not failures, len(graph.variables), failures)
 

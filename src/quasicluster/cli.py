@@ -2,7 +2,9 @@
 and the verification suites.
 
 Exit codes: 0 success, 1 property violation (a Laurent violation, or two
-seeds of one cluster with different quivers), 2 invalid input.
+seeds of one cluster with different quivers), 2 invalid input (including a
+fixture above the size limit and an exponent above the Laurent layer's
+limit).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import time
 from . import verify
 from .algebra import (LimitExceeded, SeedMismatch, explore, initial_seed,
                       mutate_seed, relation_text)
-from .laurent import LaurentViolation
+from .laurent import ExponentOverflow, LaurentViolation
 from .pquiver import ClassificationError, PartitionedQuiver
 from .surface import InvalidTriangulation, QuasiTriangulation, named_fixture
 
@@ -276,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidTriangulation, ClassificationError) as exc:

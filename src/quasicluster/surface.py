@@ -837,10 +837,16 @@ FIXTURES = {
     "polygon": polygon_fan,
 }
 
+# Largest N of 'mobius:N' and 'polygon:N': every cluster key prints every
+# exponent of every value, so the root cluster of mobius:N alone is O(N^2)
+# bytes.
+MAX_FIXTURE_SIZE = 1000
+
 
 def named_fixture(name: str) -> QuasiTriangulation:
-    """Fixture lookup: 'mobius:N', 'polygon:C', 'annulus-crosscap',
-    'mobius-three-arc'."""
+    """Fixture lookup: 'mobius:N', 'polygon:C' (N, C at most
+    MAX_FIXTURE_SIZE), 'annulus-crosscap', 'mobius-three-arc',
+    'three-boundary'."""
     if name == "annulus-crosscap":
         return annulus_crosscap()
     if name == "mobius-three-arc":
@@ -850,5 +856,8 @@ def named_fixture(name: str) -> QuasiTriangulation:
     if ":" in name:
         base, arg = name.split(":", 1)
         if base in FIXTURES:
-            return FIXTURES[base](int(arg))
+            size = int(arg)
+            if size > MAX_FIXTURE_SIZE:
+                raise ValueError(f"size {size} is above the fixture limit {MAX_FIXTURE_SIZE}")
+            return FIXTURES[base](size)
     raise KeyError(f"unknown fixture {name!r}")

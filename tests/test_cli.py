@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import time
 
 import pytest
 
 from quasicluster import cli, verify
 from quasicluster.algebra import Seed
 from quasicluster.cli import main
+from quasicluster.laurent import EXPONENT_LIMIT, LaurentForm, Polynomial
 from quasicluster.pquiver import PartitionedQuiver
 from quasicluster.surface import QuasiTriangulation, annulus_crosscap
 
@@ -211,6 +214,7 @@ def vertex_one(**fields):
     (None, ("surface", "mobius", "--marked", "2", "--out", "/nonexistent/x.json")),
     (None, ("explore", "--fixture", "mobius:2", "--max-nodes", "-3")),
     (None, ("explore", "--fixture", "mobius:2", "--max-depth", "-1")),
+    (None, ("surface", "polygon", "--marked", "1001")),
 ], ids=["seq-not-int", "unknown-fixture", "fixture-size-not-int",
         "mobius-0", "polygon-3", "surface-polygon-2", "mutate-arrow-without-src",
         "verify-arrow-without-src", "export-arrow-without-src",
@@ -219,13 +223,41 @@ def vertex_one(**fields):
         "export-dot-string-vertex-id", "export-dot-unknown-arrow",
         "mutate-unknown-kind", "verify-kind-list", "verify-frozen-string",
         "explore-json-unwritable", "surface-out-unwritable",
-        "explore-negative-max-nodes", "explore-negative-max-depth"])
+        "explore-negative-max-nodes", "explore-negative-max-depth",
+        "surface-polygon-above-limit"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_input, argv):
     if make_input is not None:
         argv += ("--in", str(make_input(tmp_path, capsys)))
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_fixture_above_size_limit_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "explore", "--fixture", "mobius:100000",
+                       "--max-nodes", "1", "--no-witnesses")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_exponent_overflow_exits_2_without_traceback(capsys, monkeypatch):
+    """Every cluster variable of the initial seed replaced by x1^(2^31 - 1):
+    the first exchange product passes the exponent limit."""
+    original = cli.initial_seed
+
+    def at_limit(quiver, **kwargs):
+        seed = original(quiver, **kwargs)
+        n = seed.context.nvars
+        top = LaurentForm(Polynomial(n, {(EXPONENT_LIMIT,) + (0,) * (n - 1): 1}))
+        return dataclasses.replace(seed, values=dict.fromkeys(seed.values, top))
+
+    monkeypatch.setattr(cli, "initial_seed", at_limit)
+    code, _, err = run(capsys, "explore", "--fixture", "mobius:3", "--coeff-free")
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_mutate_classifies_each_vertex_once(tmp_path, capsys, monkeypatch):

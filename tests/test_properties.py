@@ -1,12 +1,16 @@
-"""Property tests: classification and mutation do not depend on how a quiver
-is labelled or stored.
+"""Property tests on random walks from the named fixtures.
 
-Each example walks a named fixture a few random steps, then builds a copy
+Classification and mutation do not depend on how a quiver is labelled or
+stored: each example walks a fixture a few random steps, then builds a copy
 with vertex ids and arrow ids renamed and the arrow dict, the vertex dict and
 the path list shuffled.  At every mutable vertex the copy must classify to
 the same type and mutate to the same canonical form; the mutation must be
 valid and an involution.
+
+Flips and mutations commute with the quiver construction along random flip
+walks, and the walked quivers and triangulations survive a JSON round trip.
 """
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -49,3 +53,25 @@ def test_classify_and_mutate_ignore_labels_and_order(name, walk, relabel_seed):
         assert r.mutate(vmap[t]).canonical_form() == q1.canonical_form()
         assert q1.validate() == []
         assert q1.mutate(t).canonical_form() == form
+
+
+def json_round_trip(obj):
+    data = obj.to_json()
+    back = type(obj).from_json(json.loads(json.dumps(data)))
+    assert back.to_json() == data
+    return back
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(name=st.sampled_from(FIXTURES),
+       walk=st.lists(st.integers(min_value=0, max_value=10**6), max_size=6))
+def test_flip_walks_commute_with_mutation_and_round_trip(name, walk):
+    t = named_fixture(name)
+    q = t.build_quiver()
+    for step in walk:
+        arcs = t.internal_arcs()
+        a = arcs[step % len(arcs)]
+        t, q = t.flip(a), q.mutate(a)
+        assert t.build_quiver().canonical_form() == q.canonical_form()
+        assert json_round_trip(q).canonical_form() == q.canonical_form()
+        assert json_round_trip(t).build_quiver().canonical_form() == q.canonical_form()
