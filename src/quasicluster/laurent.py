@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Sequence
 
@@ -110,6 +110,7 @@ class _Layout:
     def min_fold(self, acc: int, mons) -> int:
         """Componentwise minimum of exponent fields ``acc`` (degree clear) and
         every monomial of ``mons``, as a packed monomial (0 once it is 0).
+        Every operand must have its guard bits clear.
 
         Per field, ``(a | guard) - b`` keeps its guard bit exactly when a >= b
         and never borrows from the next field.  ``ge - (ge >> 31)`` spreads
@@ -126,14 +127,7 @@ class _Layout:
 
 
 # one layout per variable count, built on first use and never changed
-_LAYOUTS: dict[int, _Layout] = {}
-
-
-def _layout(nvars: int) -> _Layout:
-    lay = _LAYOUTS.get(nvars)
-    if lay is None:
-        lay = _LAYOUTS[nvars] = _Layout(nvars)
-    return lay
+_layout = cache(_Layout)
 
 
 class Polynomial:
@@ -476,9 +470,14 @@ class LaurentForm:
             raise LaurentViolation(
                 "quotient is not a Laurent polynomial"
             ) from exc
-        k, d = other._d, self._d + content
-        s = lay.min_fold(k & lay.exps, (d,))
-        return LaurentForm._make(q._times(k - s), lay.checked(d - s))
+        # cancel x^k against content and then against self's denominator, one
+        # at a time: a sum of the two could set guard bits, which min_fold
+        # must not see
+        k = other._d
+        s1 = lay.min_fold(k & lay.exps, (content,))
+        s2 = lay.min_fold((k - s1) & lay.exps, (self._d,))
+        return LaurentForm._make(q._times(k - s1 - s2),
+                                 lay.checked(self._d + content - s1 - s2))
 
     def evaluate(self, point: Sequence) -> Fraction:
         d = Fraction(1)

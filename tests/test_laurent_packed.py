@@ -17,7 +17,8 @@ from quasicluster.laurent import (EXPONENT_LIMIT, Context, ExponentOverflow,
 # Exponent ceilings: small, large but with every product below the limit,
 # and the limit itself, where products and shifts can overflow.  Long
 # division by a divisor that does not divide can take as many steps as the
-# exponents are large (x^n by x + 1 takes n), so such divisions use SMALL.
+# exponents are large (x^n by x + 1 takes n), so such divisions use SMALL;
+# division by a monomial takes one step per term and runs at every ceiling.
 SMALL = 3
 CEILINGS = (SMALL, EXPONENT_LIMIT // 2, EXPONENT_LIMIT)
 
@@ -75,7 +76,7 @@ def test_polynomials_match_reference(problem):
     agree(lambda: a + b, lambda: ra + rb)
     agree(lambda: a * b, lambda: ra * rb)
     agree(lambda: a.mul_monomial(m, c), lambda: ra.mul_monomial(m, c))
-    if ceiling == SMALL:
+    if ceiling == SMALL or len(tb) - list(tb.values()).count(0) == 1:
         agree(lambda: a.exact_div(b), lambda: ra.exact_div(rb))
     if not over_limit(ra * rb):
         agree(lambda: (a * b).exact_div(b), lambda: (ra * rb).exact_div(rb))
@@ -97,7 +98,7 @@ def test_laurent_forms_match_reference(problem):
     assert view(a) == view(ra) and view(b) == view(rb)
     agree(lambda: a + b, lambda: ra + rb)
     agree(lambda: a * b, lambda: ra * rb)
-    if ceiling == SMALL:
+    if ceiling == SMALL or len(b.num.terms) == 1:
         agree(lambda: a.divide(b), lambda: ra.divide(rb))
     if not over_limit(ra * rb):
         agree(lambda: (a * b).divide(b), lambda: (ra * rb).divide(rb))
@@ -130,3 +131,24 @@ def test_exponent_limit_fails_loudly():
     xtop = LaurentForm(Polynomial(2, {(top, 0): 1}))
     assert (xtop * y).num.terms == {(top, 0): 1, (top - 1, 0): 1}
     assert (xtop * y).den == (0, 0)
+
+
+def test_divide_overflows_only_past_the_limit():
+    top = EXPONENT_LIMIT
+    one = Polynomial.constant(1, 2)
+    x2_squared = Polynomial(2, {(0, 2): 1})
+    # 1/x2^top divided by x2^2/x1 is x1/x2^(top + 2): past the limit
+    a, b = LaurentForm(one, (0, top)), LaurentForm(x2_squared, (1, 0))
+    ra = ref.LaurentForm(ref.Polynomial.constant(1, 2), (0, top))
+    rb = ref.LaurentForm(ref.Polynomial(2, {(0, 2): 1}), (1, 0))
+    agree(lambda: a.divide(b), lambda: ra.divide(rb))
+    with pytest.raises(ExponentOverflow):
+        a.divide(b)
+    # 1/x2^(top - 2) divided by the same is x1/x2^top: at the limit
+    q = LaurentForm(one, (0, top - 2)).divide(b)
+    assert q.den == (0, top) and q.num.terms == {(1, 0): 1}
+    assert q.canonical_serialize() == f"L|0,{top}|1@1,0".encode()
+    # x1^top/x2 divided by x2^top/x1^top is x1^(2 top)/x2^(top + 1)
+    with pytest.raises(ExponentOverflow):
+        LaurentForm(Polynomial(2, {(top, 0): 1}), (0, 1)).divide(
+            LaurentForm(Polynomial(2, {(0, top): 1}), (top, 0)))
