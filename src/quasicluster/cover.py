@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pquiver import PartitionedQuiver
+from .pquiver import Arrow, PartitionedQuiver, Vertex
 from .surface import (InvalidTriangulation, QuasiTriangulation, Triangle,
                       TRI_ANTI_SELF_FOLDED, TRI_QUASI, TRI_REGULAR,
                       _triangle_matchings)
@@ -19,6 +19,14 @@ class QuasiArcPresent(ValueError):
     """Quasi-arcs lift to non-contractible loops; no triangulation lifts."""
 
 
+def _find(parent: dict, x):
+    """Root of x in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass
 class DoubleCover:
     base: QuasiTriangulation
@@ -26,7 +34,6 @@ class DoubleCover:
     arc_lift: dict[tuple[int, int], int]     # (base arc, sheet) -> lifted arc
     point_lift: dict[tuple[int, int], int]   # (base point, sheet) -> lifted point
     sigma_arc: dict[int, int]                # deck involution on lifted arcs
-    sigma_point: dict[int, int]
 
     def double_quiver(self) -> PartitionedQuiver:
         return self.lifted.build_quiver()
@@ -39,26 +46,16 @@ class DoubleCover:
 
     def is_connected(self) -> bool:
         parent = {p: p for p in self.lifted.walks}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        position = self.lifted.token_positions()
         for arc in self.lifted.arcs:
             if self.lifted.arcs[arc] == "quasi":
                 continue
-            p0, _ = self.lifted.token_position((arc, 0))
-            p1, _ = self.lifted.token_position((arc, 1))
-            ra, rb = find(p0), find(p1)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(p) for p in parent}) == 1
+            p0, p1 = position[(arc, 0)][0], position[(arc, 1)][0]
+            parent[_find(parent, p0)] = _find(parent, p1)
+        return len({_find(parent, p) for p in parent}) == 1
 
     def apply_sigma_to_quiver(self, quiver: PartitionedQuiver) -> PartitionedQuiver:
         """Relabel a quiver built on lifted arc ids by the deck involution."""
-        from .pquiver import Arrow, Vertex
         vertices = [Vertex(self.sigma_arc[v.id], v.frozen, v.kind)
                     for v in quiver.vertices.values()]
         arrows = [Arrow(a.id, self.sigma_arc[a.src], self.sigma_arc[a.tgt])
@@ -108,11 +105,11 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
     corner_tri: dict[int, list[int]] = {new: [0] * (len(w) - 1)
                                         for new, w in walks.items()}
     next_tri = 1
-    tri_lift_pairs: dict[int, list[int]] = {}
+    slots_of = base.corner_slots()
     for tri in sorted(base.triangles.values(), key=lambda t: t.id):
         if tri.kind == TRI_QUASI:
             raise QuasiArcPresent("quasi-triangle present")
-        slots = base.triangle_corner_slots(tri.id)
+        slots = slots_of[tri.id]
         corners = [base.corner_tokens(*s) for s in slots]
         matching = _triangle_matchings(corners)
         if not matching:
@@ -123,29 +120,19 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
                 idx = i if s == 0 else len(base.walks[p]) - 2 - i
                 lifted_slots.append((ci, s, p, idx))
         parent = {ls[:2]: ls[:2] for ls in lifted_slots}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for (c0, m0), (c1, m1) in matching[0]:
             a0, e0 = corners[c0][m0]
             for s in (0, 1):
                 for s2 in (0, 1):
                     if copy_sheet(a0, e0, s) == copy_sheet(corners[c1][m1][0],
                                                            corners[c1][m1][1], s2):
-                        ra, rb = find((c0, s)), find((c1, s2))
-                        if ra != rb:
-                            parent[ra] = rb
+                        parent[_find(parent, (c0, s))] = _find(parent, (c1, s2))
         groups: dict[tuple, list] = {}
         for ci, s, p, idx in lifted_slots:
-            groups.setdefault(find((ci, s)), []).append((ci, s, p, idx))
+            groups.setdefault(_find(parent, (ci, s)), []).append((ci, s, p, idx))
         if len(groups) != 2 or any(len(g) != 3 for g in groups.values()):
             raise InvalidTriangulation(
                 f"triangle {tri.id} does not lift to two triangles")
-        ids = []
         for key in sorted(groups, key=lambda k: sorted(groups[k])):
             members = groups[key]
             sides = []
@@ -157,17 +144,12 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
             kind = TRI_ANTI_SELF_FOLDED if doubled else TRI_REGULAR
             t = Triangle(next_tri, kind, tuple(sorted(sides)))
             triangles.append(t)
-            ids.append(next_tri)
             for ci, s, p, idx in members:
                 corner_tri[point_lift[(p, s)]][idx] = next_tri
             next_tri += 1
-        tri_lift_pairs[tri.id] = ids
 
     lifted = QuasiTriangulation(None, arcs, points, walks, corner_tri, triangles)
     sigma_arc = {}
     for (a, s), new in arc_lift.items():
         sigma_arc[new] = arc_lift[(a, 1 - s)]
-    sigma_point = {}
-    for (p, s), new in point_lift.items():
-        sigma_point[new] = point_lift[(p, 1 - s)]
-    return DoubleCover(base, lifted, arc_lift, point_lift, sigma_arc, sigma_point)
+    return DoubleCover(base, lifted, arc_lift, point_lift, sigma_arc)

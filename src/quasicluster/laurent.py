@@ -261,6 +261,13 @@ class Polynomial:
         dc = den._t[dm]
         right = list(den._t.items())
         guard = self._lay.guard
+        # graded lex is a monomial order, so an exact quotient's trailing
+        # term is the quotient of the trailing terms, and the terms below
+        # come out in decreasing order: none may fall below it
+        low = min(self._t) - min(den._t)
+        if low & guard:
+            raise NotDivisible("trailing term of the divisor does not divide "
+                               "the trailing term of the dividend")
         rem = dict(self._t)
         quo: dict[int, int] = {}
         while rem:
@@ -270,7 +277,7 @@ class Polynomial:
             # set guard bit also flags a remainder term past the limit, which
             # an exact division never leads with
             qm = rm - dm
-            if qm & guard or rc % dc:
+            if qm & guard or qm < low or rc % dc:
                 raise NotDivisible(f"remainder has leading term {self._lay.unpack(rm)}")
             qc = rc // dc
             quo[qm] = qc

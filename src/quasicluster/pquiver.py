@@ -82,6 +82,15 @@ def _json_bool(value, name: str) -> bool:
     return value
 
 
+def _json_unique(ids, name: str):
+    """Raise ValueError naming the first id that repeats in ``ids``."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ValueError(f"duplicate {name} {i}")
+        seen.add(i)
+
+
 def _json_kind(value) -> str:
     if value not in (ORDINARY, QUASI):
         raise ValueError(f"vertex kind must be {ORDINARY!r} or {QUASI!r}, "
@@ -527,7 +536,8 @@ class PartitionedQuiver:
     def from_json(cls, data: dict) -> "PartitionedQuiver":
         """Inverse of ``to_json``; raises ValueError naming the field when an
         id, an endpoint or a partition entry is not an integer, a vertex's
-        ``frozen`` is not a bool or its ``kind`` is not a known kind."""
+        ``frozen`` is not a bool or its ``kind`` is not a known kind, and
+        naming the id when two vertices or two arrows share one."""
         vertices = [Vertex(_json_int(v["id"], "vertex id"),
                            _json_bool(v.get("frozen", False), "vertex frozen"),
                            _json_kind(v.get("kind", ORDINARY)))
@@ -538,6 +548,8 @@ class PartitionedQuiver:
                   for a in data["arrows"]]
         partition = [[_json_int(aid, "partition entry") for aid in path]
                      for path in data["partition"]]
+        _json_unique((v.id for v in vertices), "vertex id")
+        _json_unique((a.id for a in arrows), "arrow id")
         return cls(vertices, arrows, partition)
 
     def dumps(self) -> str:

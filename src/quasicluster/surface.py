@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from .pquiver import (ORDINARY, QUASI, Arrow, PartitionedQuiver, Vertex)
+from .pquiver import (ORDINARY, QUASI, Arrow, PartitionedQuiver, Vertex,
+                      _json_int, _json_unique)
 
 BOUNDARY = "boundary"
 REGULAR = "regular"
@@ -156,20 +157,24 @@ class QuasiTriangulation:
     def fresh_triangle_id(self) -> int:
         return max(self.triangles, default=0) + 1
 
-    def token_position(self, token: End) -> tuple[int, int]:
-        for pt, walk in self.walks.items():
-            for i, tok in enumerate(walk):
-                if tok == token:
-                    return pt, i
-        raise KeyError(f"token {token} not found in any walk")
+    def token_positions(self) -> dict[End, tuple[int, int]]:
+        """Map each arc end in a walk to its (point, index)."""
+        return {tok: (pt, i) for pt, walk in self.walks.items()
+                for i, tok in enumerate(walk)}
 
     def corner_tokens(self, pt: int, idx: int) -> tuple[End, End]:
         walk = self.walks[pt]
         return walk[idx], walk[idx + 1]
 
-    def triangle_corner_slots(self, tri_id: int) -> list[tuple[int, int]]:
-        return [(pt, i) for pt in sorted(self.corner_tri)
-                for i, t in enumerate(self.corner_tri[pt]) if t == tri_id]
+    def corner_slots(self) -> dict[int, list[tuple[int, int]]]:
+        """Map each triangle id to its corner slots (point, index), points in
+        sorted order, so that the result does not depend on the order in
+        which points were stored."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        for pt in sorted(self.corner_tri):
+            for i, t in enumerate(self.corner_tri[pt]):
+                out.setdefault(t, []).append((pt, i))
+        return out
 
     # -- validation -------------------------------------------------------------
 
@@ -198,6 +203,8 @@ class QuasiTriangulation:
                     out.append(f"non-boundary end {tok} at walk extreme of {pt}")
                 if kind == QUASIARC:
                     out.append(f"quasi-arc {arc} appears in a walk")
+        for pt in self.corner_tri.keys() - self.walks.keys():
+            out.append(f"corners at point {pt}, which has no walk")
         for arc, kind in self.arcs.items():
             expect = 0 if kind == QUASIARC else 1
             for e in (0, 1):
@@ -209,14 +216,22 @@ class QuasiTriangulation:
 
         # triangle structure
         side_use: dict[int, int] = {a: 0 for a in self.arcs}
+        slots_of = self.corner_slots()
         for tri in self.triangles.values():
-            slots = self.triangle_corner_slots(tri.id)
+            slots = slots_of.get(tri.id, [])
             for a in tri.sides:
                 if a not in self.arcs:
                     out.append(f"triangle {tri.id} references unknown arc {a}")
                     return out
                 side_use[a] += 1
+            if tri.kind not in (TRI_REGULAR, TRI_ANTI_SELF_FOLDED, TRI_QUASI):
+                out.append(f"triangle {tri.id} has unknown kind {tri.kind!r}")
+                continue
             if tri.kind == TRI_QUASI:
+                if len(tri.sides) != 2:
+                    out.append(f"quasi-triangle {tri.id} has {len(tri.sides)} "
+                               "sides, expected 2")
+                    continue
                 loop, q = tri.sides
                 if self.arcs[q] != QUASIARC:
                     out.append(f"quasi-triangle {tri.id}: {q} is not a quasi-arc")
@@ -322,8 +337,9 @@ class QuasiTriangulation:
         loop side as a single instance over their one corner.
         """
         inst: dict[tuple[int, int, int], tuple] = {}
+        slots_of = self.corner_slots()
         for tri in self.triangles.values():
-            slots = self.triangle_corner_slots(tri.id)
+            slots = slots_of[tri.id]
             if tri.kind == TRI_QUASI:
                 (pt, i), = slots
                 inst[(pt, i, 0)] = (tri.id, 0)
@@ -348,6 +364,7 @@ class QuasiTriangulation:
         directions; boundary arcs transport trivially by the walk convention).
         """
         inst = self.side_instance_map()
+        position = self.token_positions()
         out: dict[int, int] = {}
         for arc, kind in self.arcs.items():
             if kind == QUASIARC:
@@ -357,7 +374,7 @@ class QuasiTriangulation:
                 continue
             lefts = []
             for e in (0, 1):
-                pt, i = self.token_position((arc, e))
+                pt, i = position[(arc, e)]
                 # member 1 of corner i-1 and member 0 of corner i touch token i
                 lefts.append(inst[(pt, i - 1, 1)])
             out[arc] = 1 if lefts[0] == lefts[1] else 0
@@ -379,8 +396,8 @@ class QuasiTriangulation:
         if kind == QUASIARC:
             t._flip_quasi_arc(arc)
             return t
-        p0, i0 = t.token_position((arc, 0))
-        p1, i1 = t.token_position((arc, 1))
+        position = t.token_positions()
+        (p0, i0), (p1, i1) = position[(arc, 0)], position[(arc, 1)]
         if p0 == p1 and abs(i0 - i1) == 1:
             mid = min(i0, i1)
             tri = t.triangles[t.corner_tri[p0][mid]]
@@ -392,7 +409,7 @@ class QuasiTriangulation:
                 raise InvalidTriangulation(
                     f"adjacent ends of {arc} claim a regular corner")
         else:
-            t._flip_quadrilateral(arc, (p0, i0), (p1, i1))
+            t._flip_quadrilateral(arc, p0, i0, p1, i1)
         return t
 
     def _flip_quasi_arc(self, arc: int):
@@ -400,7 +417,7 @@ class QuasiTriangulation:
         qt = next(tr for tr in self.triangles.values()
                   if tr.kind == TRI_QUASI and tr.sides[1] == arc)
         loop = qt.sides[0]
-        (pt, i), = self.triangle_corner_slots(qt.id)
+        (pt, i), = self.corner_slots()[qt.id]
         af = Triangle(self.fresh_triangle_id(), TRI_ANTI_SELF_FOLDED,
                       (loop, arc, arc))
         self.walks[pt][i + 1:i + 1] = [(arc, 0), (arc, 1)]
@@ -439,7 +456,7 @@ class QuasiTriangulation:
                 "this configuration is outside the supported class")
         del walk[mid:mid + 2]
         tris[mid - 1:mid + 2] = [delta.id]
-        third = [(p, i) for (p, i) in self.triangle_corner_slots(delta.id)
+        third = [(p, i) for (p, i) in self.corner_slots()[delta.id]
                  if not (p == pt and i == mid - 1)]
         if len(third) != 1:
             raise FlipError(f"triangle {delta.id} third corner not unique")
@@ -447,11 +464,11 @@ class QuasiTriangulation:
         self.walks[p2][j + 1:j + 1] = [(arc, 0), (arc, 1)]
         self.corner_tri[p2][j:j + 1] = [delta.id, qt.id, delta.id]
 
-    def _flip_quadrilateral(self, arc: int, pos0, pos1):
-        """Generic diagonal flip; covers plain quadrilaterals, quadrilaterals
-        with a repeated side, and the base arc of an anti-self-folded
-        triangle, which all share the same corner rewrite."""
-        (p0, i0), (p1, i1) = pos0, pos1
+    def _flip_quadrilateral(self, arc: int, p0: int, i0: int, p1: int, i1: int):
+        """Generic diagonal flip of the arc with ends at (p0, i0) and (p1, i1);
+        covers plain quadrilaterals, quadrilaterals with a repeated side, and
+        the base arc of an anti-self-folded triangle, which all share the same
+        corner rewrite."""
         flank_slots = [(p0, i0 - 1), (p0, i0), (p1, i1 - 1), (p1, i1)]
         flank_tris = [self.corner_tri[p][i] for p, i in flank_slots]
         distinct = sorted(set(flank_tris))
@@ -463,42 +480,24 @@ class QuasiTriangulation:
             if self.triangles[t].kind == TRI_QUASI:
                 raise InvalidTriangulation(f"arc {arc} flanked by quasi-triangle")
 
-        merged_marker = -1
-        removals = sorted([(p0, i0), (p1, i1)], reverse=True)
-        for p, i in removals:
+        for p, i in sorted([(p0, i0), (p1, i1)], reverse=True):
             del self.walks[p][i]
-            self.corner_tri[p][i - 1:i + 1] = [merged_marker]
-        merged_slots = []
-        for p in self.corner_tri:
-            for i, v in enumerate(self.corner_tri[p]):
-                if v == merged_marker:
-                    merged_slots.append((p, i))
-        # the remaining slot of t1 / t2 is its third corner
-        thirds = {}
-        for t in (t1, t2):
-            rest = self.triangle_corner_slots(t)
-            if len(rest) != 1:
-                raise FlipError(f"triangle {t} third corner not unique")
-            thirds[t] = rest[0]
-        half_marker = {t1: -2, t2: -3}
+            self.corner_tri[p][i - 1:i + 1] = [-1]
+        # the remaining slot of t1 / t2 is its third corner; it takes the new
+        # arc's end 0 / 1 and splits into two corners marked -2 / -3
+        slots_of = self.corner_slots()
+        inserts = []
         for e, t in ((0, t1), (1, t2)):
-            p, j = thirds[t]
+            third = slots_of.get(t, [])
+            if len(third) != 1:
+                raise FlipError(f"triangle {t} third corner not unique")
+            inserts.append((*third[0], e))
+        # right to left, so that an insertion never shifts a pending slot
+        for p, j, e in sorted(inserts, reverse=True):
             self.walks[p][j + 1:j + 1] = [(arc, e)]
-            self.corner_tri[p][j:j + 1] = [half_marker[t], half_marker[t]]
-            # inserting may shift the other pending slots
-            merged_slots = [(q, i if not (q == p and i > j) else i + 1)
-                            for q, i in merged_slots]
-            for tt in thirds:
-                qq, jj = thirds[tt]
-                if qq == p and jj > j:
-                    thirds[tt] = (qq, jj + 1)
-
-        def half_slots(marker):
-            return [(p, i) for p in self.corner_tri
-                    for i, v in enumerate(self.corner_tri[p]) if v == marker]
-
-        halves1 = half_slots(-2)
-        halves2 = half_slots(-3)
+            self.corner_tri[p][j:j + 1] = [-2 - e, -2 - e]
+        slots_of = self.corner_slots()
+        merged_slots, halves1, halves2 = slots_of[-1], slots_of[-2], slots_of[-3]
         assert len(merged_slots) == 2 and len(halves1) == 2 and len(halves2) == 2
 
         solutions = []
@@ -568,31 +567,45 @@ class QuasiTriangulation:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuasiTriangulation":
+        """Inverse of ``to_json``; raises ValueError naming the field of an
+        entry that is not an integer or an id that repeats, or when
+        ``boundary_orientations`` is not one 0 or 1 per boundary component."""
         sig = None
         if data.get("signature"):
             s = data["signature"]
-            sig = SurfaceSignature(s["g"], s["b"], s["p"], s["c"])
-        arcs = {a["id"]: a["kind"] for a in data["arcs"]}
-        points = {int(p): comp for p, comp in data["points"].items()}
-        walks = {int(p): [(t["arc"], t["end"]) for t in w]
+            sig = SurfaceSignature(*(_json_int(s[k], f"signature {k}")
+                                     for k in "gbpc"))
+        arcs = [(_json_int(a["id"], "arc id"), a["kind"]) for a in data["arcs"]]
+        _json_unique((a for a, _ in arcs), "arc id")
+        points = {int(p): _json_int(comp, "boundary component")
+                  for p, comp in data["points"].items()}
+        walks = {int(p): [(_json_int(t["arc"], "walk arc"),
+                           _json_int(t["end"], "walk end")) for t in w]
                  for p, w in data["corners"].items()}
-        triangles = [Triangle(t["id"], t["kind"],
-                              tuple(s["arc"] for s in t["sides"]))
+        triangles = [Triangle(_json_int(t["id"], "triangle id"), t["kind"],
+                              tuple(_json_int(s["arc"], "triangle side")
+                                    for s in t["sides"]))
                      for t in data["triangles"]]
+        _json_unique((t.id for t in triangles), "triangle id")
         if "corner_triangles" in data:
-            corner_tri = {int(p): list(v)
+            corner_tri = {int(p): [_json_int(t, "corner triangle") for t in v]
                           for p, v in data["corner_triangles"].items()}
         else:
-            corner_tri = _assign_corners(arcs, walks, triangles)
+            corner_tri = _assign_corners(walks, triangles)
         comps = sorted(set(points.values()))
-        orientation = dict(zip(comps, data.get("boundary_orientations", [])))
+        flags = data.get("boundary_orientations", [0] * len(comps))
+        if len(flags) != len(comps) or any(
+                _json_int(f, "boundary orientation") not in (0, 1) for f in flags):
+            raise ValueError("boundary_orientations must hold one 0 or 1 per "
+                             f"boundary component ({len(comps)}), not {flags!r}")
+        orientation = dict(zip(comps, flags))
         return cls(sig, arcs, points, walks, corner_tri, triangles, orientation)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _assign_corners(arcs, walks, triangles) -> dict[int, list[int]]:
+def _assign_corners(walks, triangles) -> dict[int, list[int]]:
     """Reconstruct the corner-to-triangle assignment by backtracking.
 
     Used when importing JSON without the explicit corner_triangles field.

@@ -185,6 +185,40 @@ string_vertex_id = edited_quiver(lambda d: d["vertices"][0].update(id="1"))
 partition_unknown_arrow = edited_quiver(lambda d: d["partition"][0].append(999))
 
 
+def edited_triangulation(edit):
+    """An input maker: the annulus-crosscap triangulation, whose triangle 4 is
+    its quasi-triangle and which has two boundary components, with ``edit``
+    applied."""
+    def make(tmp_path, capsys):
+        tpath = tmp_path / "t.json"
+        run(capsys, "surface", "annulus-crosscap", "--out", str(tpath))
+        data = json.loads(tpath.read_text())
+        edit(data)
+        tpath.write_text(json.dumps(data))
+        return tpath
+    return make
+
+
+def quasi_triangle_sides(n):
+    return edited_triangulation(lambda d: next(
+        t for t in d["triangles"] if t["id"] == 4).update(
+            sides=[{"arc": 4, "twist": 0}, {"arc": 5, "twist": 0}, {"arc": 5, "twist": 0}][:n]))
+
+
+def corners_at_unknown_point(d):
+    """Triangle 1 keeps three corners, one of them at a point without a walk."""
+    d["corner_triangles"]["2"][0] = 2
+    d["corner_triangles"]["99"] = [1]
+
+
+def orientations(flags):
+    return edited_triangulation(lambda d: d.update(boundary_orientations=flags))
+
+
+duplicate_vertex = edited_quiver(lambda d: d["vertices"].append(dict(d["vertices"][0])))
+duplicate_arrow = edited_quiver(lambda d: d["arrows"].append(dict(d["arrows"][0])))
+
+
 def vertex_one(**fields):
     """An input maker: mobius:3 with ``fields`` set on its mutable vertex 1."""
     return edited_quiver(lambda d: next(
@@ -215,6 +249,26 @@ def vertex_one(**fields):
     (None, ("explore", "--fixture", "mobius:2", "--max-nodes", "-3")),
     (None, ("explore", "--fixture", "mobius:2", "--max-depth", "-1")),
     (None, ("surface", "polygon", "--marked", "1001")),
+    (quasi_triangle_sides(3), ("quiver", "build")),
+    (quasi_triangle_sides(1), ("explore",)),
+    (edited_triangulation(lambda d: d["signature"].update(g="1")), ("quiver", "build")),
+    (edited_triangulation(lambda d: d["signature"].update(b=[2])), ("export", "--json")),
+    (edited_triangulation(lambda d: d["triangles"][0].update(kind="banana")),
+     ("quiver", "build")),
+    (orientations(["x", 0]), ("quiver", "build")),
+    (orientations([0]), ("quiver", "build")),
+    (orientations([0, 1, 1]), ("export", "--dot")),
+    (orientations([0, 2]), ("quiver", "build")),
+    (edited_triangulation(lambda d: d["arcs"].append(dict(d["arcs"][0]))),
+     ("quiver", "build")),
+    (edited_triangulation(lambda d: d["corners"]["1"][1].update(arc=[3])),
+     ("quiver", "build")),
+    (edited_triangulation(corners_at_unknown_point), ("quiver", "build")),
+    (duplicate_vertex, ("mutate", "--at", "1")),
+    (duplicate_vertex, ("verify",)),
+    (duplicate_arrow, ("mutate", "--at", "1")),
+    (duplicate_arrow, ("verify",)),
+    (duplicate_arrow, ("export", "--dot")),
 ], ids=["seq-not-int", "unknown-fixture", "fixture-size-not-int",
         "mobius-0", "polygon-3", "surface-polygon-2", "mutate-arrow-without-src",
         "verify-arrow-without-src", "export-arrow-without-src",
@@ -224,13 +278,21 @@ def vertex_one(**fields):
         "mutate-unknown-kind", "verify-kind-list", "verify-frozen-string",
         "explore-json-unwritable", "surface-out-unwritable",
         "explore-negative-max-nodes", "explore-negative-max-depth",
-        "surface-polygon-above-limit"])
+        "surface-polygon-above-limit", "quasi-triangle-3-sides",
+        "quasi-triangle-1-side", "signature-string", "signature-list",
+        "triangle-kind-unknown", "orientation-string", "orientation-too-few",
+        "orientation-too-many", "orientation-2", "duplicate-arc-id",
+        "walk-arc-list", "corners-at-unknown-point",
+        "mutate-duplicate-vertex", "verify-duplicate-vertex",
+        "mutate-duplicate-arrow", "verify-duplicate-arrow",
+        "export-dot-duplicate-arrow"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_input, argv):
     if make_input is not None:
         argv += ("--in", str(make_input(tmp_path, capsys)))
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_fixture_above_size_limit_exits_2_at_once(capsys):

@@ -1,7 +1,7 @@
-"""Pinned SHA-256 digests of exploration and mutation output.
+"""Pinned SHA-256 digests of exploration, mutation and flip output.
 
-The JSON export is deterministic by design, so a refactor of the quiver or
-exchange layers must reproduce these bytes exactly.  A change that moves a
+The JSON export is deterministic by design, so a refactor of the surface,
+quiver or exchange layers must reproduce these bytes exactly.  A change that moves a
 digest changes the engine's answers; recompute the digests only together
 with an explanation of why the answers changed.
 """
@@ -12,6 +12,7 @@ import random
 import pytest
 
 from quasicluster.algebra import LimitExceeded, explore, initial_seed
+from quasicluster.cover import lift
 from quasicluster.surface import named_fixture
 
 FIXTURES = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
@@ -78,3 +79,41 @@ def test_mutation_walk_digest(name):
         q = q.mutate(rng.choice(q.mutable_ids()))
         dumps.append(q.dumps())
     assert digest("".join(dumps)) == WALK_DIGESTS[name]
+
+
+FLIP_WALK_DIGESTS = {
+    "mobius:1":
+        "59767b807825219128d4559a9d9d21530e602a27c840f0d6520b6bcc6dabfcb3",
+    "mobius:2":
+        "325ba226b3b9c4c5e550780cc0b004b47afe28ccf26374b6cc0fe57d5442743c",
+    "mobius:3":
+        "4f5c451308935719700e5abb9130d60dbbcd1ab4ed2bd0729f607ff615365f6a",
+    "mobius:4":
+        "458b45823dbbe981b1b69a67e3d30245812b035600cc752e8baff5b3f48c36da",
+    "polygon:5":
+        "04a939ab98c24ff63f22695da5613fa460dd48c95d00c8e3afa8708f31eb485f",
+    "polygon:6":
+        "2860f2bbe56cc8c89c6eb22d3c80d98b6b6f9124dbe3200113b0ab8409e0e045",
+    "annulus-crosscap":
+        "1f01f7ba080a3a5bb466566d00239469120385a73276e93f4ab0fb1fe58fbad5",
+    "mobius-three-arc":
+        "ffed406e6ad5b6beb38c0eec73276b6259b71936d1baf6653f759b18ff3b109b",
+    "three-boundary":
+        "0fdb4d5ed4da19063c818ab9e51a28a3f71347c0cbda7fb8d5e632458236e89f",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_flip_walk_digest(name):
+    """60 random flips; each step's triangulation, its quiver and, where it
+    has no quasi-arc, its lift to the double cover."""
+    rng = random.Random(name)
+    t = named_fixture(name)
+    h = hashlib.sha256()
+    for _ in range(60):
+        t = t.flip(rng.choice(t.internal_arcs()))
+        h.update(t.dumps().encode())
+        h.update(t.build_quiver().dumps().encode())
+        if not t.quasi_arcs():
+            h.update(lift(t).lifted.dumps().encode())
+    assert h.hexdigest() == FLIP_WALK_DIGESTS[name]

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from quasicluster.laurent import (Context, DenominatorVector, LaurentForm,
-                                  LaurentViolation, NotDivisible, Polynomial,
-                                  denominator_vector)
+from quasicluster.laurent import (EXPONENT_LIMIT, Context, DenominatorVector,
+                                  LaurentForm, LaurentViolation, NotDivisible,
+                                  Polynomial, denominator_vector)
 
 N = 3
 
@@ -41,6 +42,19 @@ def test_exact_div_examples():
     assert (x(0) * x(0) - x(1) * x(1)).exact_div(x(0) + x(1)) == x(0) - x(1)
     with pytest.raises(NotDivisible):
         (x(0) + x(1)).exact_div(x(0))
+
+
+def test_exact_div_stops_below_the_trailing_quotient():
+    """x^n by x + 1 leaves a remainder; the first quotient term x^(n-1) is
+    already below the trailing quotient x^n, so division stops at once
+    instead of after n steps."""
+    n = EXPONENT_LIMIT
+    t0 = time.perf_counter()
+    with pytest.raises(NotDivisible):
+        Polynomial(N, {(n, 0, 0): 1}).exact_div(x(0) + Polynomial.constant(1, N))
+    with pytest.raises(NotDivisible):   # trailing terms do not divide
+        (x(0) + x(1)).exact_div(x(0) + x(1) * x(1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_exact_div_roundtrip_randomized():

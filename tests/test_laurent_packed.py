@@ -17,7 +17,8 @@ from quasicluster.laurent import (EXPONENT_LIMIT, Context, ExponentOverflow,
 # Exponent ceilings: small, large but with every product below the limit,
 # and the limit itself, where products and shifts can overflow.  Long
 # division by a divisor that does not divide can take as many steps as the
-# exponents are large (x^n by x + 1 takes n), so such divisions use SMALL;
+# exponents are large (x^n + 1 by x + 1 takes n for even n), so such
+# divisions use SMALL;
 # division by a monomial takes one step per term and runs at every ceiling.
 SMALL = 3
 CEILINGS = (SMALL, EXPONENT_LIMIT // 2, EXPONENT_LIMIT)

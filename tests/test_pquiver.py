@@ -232,6 +232,14 @@ def test_from_json_rejects_bad_vertex_fields(field, edit):
     assert all(not v.frozen and v.kind == "ordinary" for v in back.vertices.values())
 
 
+@pytest.mark.parametrize("key, name", [("vertices", "vertex"), ("arrows", "arrow")])
+def test_from_json_rejects_duplicate_ids(key, name):
+    data = seven_arc_quiver().to_json()
+    data[key].append(dict(data[key][-1]))
+    with pytest.raises(ValueError, match=f"duplicate {name} id {data[key][-1]['id']}$"):
+        PartitionedQuiver.from_json(data)
+
+
 @pytest.mark.parametrize("itinerary", [
     [8, 1, 2, 3, 2, 4, 1, 9],   # the only i-k arrow leaves k where a4 ends
     [8, 4, 1, 2, 3, 2, 4, 9],   # the only i-k arrow enters i where a1 starts

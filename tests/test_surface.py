@@ -1,7 +1,10 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
+from quasicluster.cover import lift
 from quasicluster.pquiver import Arrow, PartitionedQuiver, Vertex
 from quasicluster.surface import (InvalidTriangulation, NonTriangulable,
                                   NotFlippable, QuasiTriangulation,
@@ -189,3 +192,38 @@ def test_transport_bits():
     assert [rho[a] for a in (1, 2, 3)] == [1, 1, 1]
     assert all(rho[b] == 0 for b in tri.boundary_arcs())
     assert all(v == 0 for v in polygon_fan(5).arc_transport().values())
+
+
+@pytest.mark.parametrize("name", ["mobius:12", "polygon:11"])
+def test_flip_ignores_point_order(name):
+    """A triangulation read back from its JSON text stores its points in
+    string order (10 before 2); flipping it gives the same bytes as flipping
+    the original."""
+    rng = random.Random(name)
+    t = named_fixture(name)
+    for _ in range(100):
+        a = rng.choice(t.internal_arcs())
+        flipped = t.flip(a)
+        back = QuasiTriangulation.from_json(json.loads(t.dumps()))
+        assert back.flip(a).dumps() == flipped.dumps()
+        t = flipped
+
+
+@pytest.mark.parametrize("call", [
+    QuasiTriangulation.validate, QuasiTriangulation.to_json, lift,
+    lambda t: lift(t).is_connected()])
+def test_index_builds_do_not_grow_with_size(monkeypatch, call):
+    """Corner and arc-end positions are indexed a fixed number of times per
+    call, however many triangles and arc ends there are."""
+    builds = Counter()
+    for name in ("corner_slots", "token_positions"):
+        def counted(self, original=getattr(QuasiTriangulation, name), name=name):
+            builds[name] += 1
+            return original(self)
+        monkeypatch.setattr(QuasiTriangulation, name, counted)
+    counts = []
+    for n in (10, 1000):
+        builds.clear()
+        call(mobius_fan(n))
+        counts.append(dict(builds))
+    assert counts[0] == counts[1] and counts[0]
