@@ -262,8 +262,8 @@ class Polynomial:
         right = list(den._t.items())
         guard = self._lay.guard
         # graded lex is a monomial order, so an exact quotient's trailing
-        # term is the quotient of the trailing terms, and the terms below
-        # come out in decreasing order: none may fall below it
+        # term is trail(self) / trail(den); long division finds the quotient's
+        # terms in decreasing order, so one below that bound means a remainder
         low = min(self._t) - min(den._t)
         if low & guard:
             raise NotDivisible("trailing term of the divisor does not divide "

@@ -200,9 +200,9 @@ def edited_triangulation(edit):
 
 
 def quasi_triangle_sides(n):
+    sides = [{"arc": 4, "twist": 0}, {"arc": 5, "twist": 0}, {"arc": 5, "twist": 0}]
     return edited_triangulation(lambda d: next(
-        t for t in d["triangles"] if t["id"] == 4).update(
-            sides=[{"arc": 4, "twist": 0}, {"arc": 5, "twist": 0}, {"arc": 5, "twist": 0}][:n]))
+        t for t in d["triangles"] if t["id"] == 4).update(sides=sides[:n]))
 
 
 def corners_at_unknown_point(d):

@@ -211,7 +211,8 @@ def test_flip_ignores_point_order(name):
 
 @pytest.mark.parametrize("call", [
     QuasiTriangulation.validate, QuasiTriangulation.to_json, lift,
-    lambda t: lift(t).is_connected()])
+    lambda t: lift(t).is_connected()],
+    ids=["validate", "to_json", "lift", "lift-is_connected"])
 def test_index_builds_do_not_grow_with_size(monkeypatch, call):
     """Corner and arc-end positions are indexed a fixed number of times per
     call, however many triangles and arc ends there are."""
