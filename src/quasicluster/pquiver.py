@@ -14,7 +14,7 @@ the arrows that take its place.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 
@@ -119,9 +119,6 @@ class PartitionedQuiver:
     def fresh_arrow_id(self) -> int:
         return max(self.arrows, default=0) + 1
 
-    def incident(self, t: int) -> list[Arrow]:
-        return [a for a in self.arrows.values() if a.src == t or a.tgt == t]
-
     def itineraries(self) -> list[list[int]]:
         """Each path's vertex itinerary in partition order: the source of its
         first arrow, then the target of every arrow (empty for an empty
@@ -184,66 +181,61 @@ class PartitionedQuiver:
         if v.frozen:
             raise Unclassifiable(f"vertex {t} is frozen")
         loc = self._positions()
-        loops = [a for a in self.arrows.values() if a.src == t and a.tgt == t]
+        # each vertex's arrows in arrow-dict order, a loop listed once: the
+        # one pass over the arrows that every rule below reads
+        at: dict[int, list[Arrow]] = defaultdict(list)
+        for a in self.arrows.values():
+            at[a.src].append(a)
+            if a.tgt != a.src:
+                at[a.tgt].append(a)
+        mine = at[t]
+        loops = [a for a in mine if a.src == a.tgt]
         if loops:
-            return self._classify_v2(t, loops, loc)
+            return self._classify_v2(t, mine, loops, loc)
         if v.kind == QUASI:
-            return self._classify_v4(t, loc)
-        cls = self._try_v3(t, loc)
+            return self._classify_v4(t, mine, loc)
+        cls = self._try_v3(t, at, loc)
         if cls is not None:
             return cls
-        return self._classify_v1(t, loc)
+        return self._classify_v1(t, at, loc)
 
-    def _through_pairs(self, t: int) -> list[tuple[int, int]]:
-        """Consecutive path pairs (a, b) with target(a) == source(b) == t."""
-        pairs = []
-        for path in self.partition:
-            for a, b in zip(path, path[1:]):
-                if self.arrows[a].tgt == t and self.arrows[b].src == t:
-                    pairs.append((a, b))
-        return pairs
-
-    def _classify_v2(self, t: int, loops, loc) -> VertexClassification:
-        if len(loops) != 1:
-            raise Unclassifiable(f"vertex {t} carries {len(loops)} loops")
-        if self.vertices[t].kind != ORDINARY:
-            raise Unclassifiable(f"quasi vertex {t} carries a loop")
-        loop = loops[0]
-        others = [a for a in self.incident(t) if a.id != loop.id]
-        if len(others) != 2:
-            raise Unclassifiable(f"vertex {t}: loop with {len(others)} companions")
-        ins = [a for a in others if a.tgt == t]
-        outs = [a for a in others if a.src == t]
+    def _two_cycle(self, t: int, arrows, loc, middle) -> tuple[Arrow, Arrow]:
+        """The arrows i -> t and t -> i that t's ``arrows`` other than the
+        ids ``middle`` must be, with the run i -> t, *middle, t -> i
+        consecutive in one path."""
+        rest = [a for a in arrows if a.id not in middle]
+        ins = [a for a in rest if a.tgt == t]
+        outs = [a for a in rest if a.src == t]
         if len(ins) != 1 or len(outs) != 1 or ins[0].src != outs[0].tgt:
-            raise Unclassifiable(f"vertex {t}: bad loop companions")
-        a1, a3 = ins[0], outs[0]
-        pi, pos = loc[a1.id]
-        if self.partition[pi][pos + 1:pos + 3] != [loop.id, a3.id]:
-            raise Unclassifiable(f"vertex {t}: [a1 loop a3] not consecutive")
-        return VertexClassification(V2, t, (a1.id, loop.id, a3.id), i=a1.src)
+            raise Unclassifiable(f"vertex {t}: arrows {[a.id for a in rest]} "
+                                 "are not a 2-cycle")
+        a_in, a_out = ins[0], outs[0]
+        pi, pos = loc[a_in.id]
+        run = [*middle, a_out.id]
+        if self.partition[pi][pos + 1:pos + 1 + len(run)] != run:
+            raise Unclassifiable(
+                f"vertex {t}: 2-cycle run {[a_in.id, *run]} not consecutive")
+        return a_in, a_out
 
-    def _classify_v4(self, t: int, loc) -> VertexClassification:
-        inc = self.incident(t)
-        if len(inc) != 2:
-            raise Unclassifiable(f"quasi vertex {t} has {len(inc)} arrows")
-        ins = [a for a in inc if a.tgt == t]
-        outs = [a for a in inc if a.src == t]
-        if len(ins) != 1 or len(outs) != 1 or ins[0].src != outs[0].tgt:
-            raise Unclassifiable(f"quasi vertex {t} is not in a 2-cycle")
-        a1, a2 = ins[0], outs[0]
-        pi, pos = loc[a1.id]
-        if self.partition[pi][pos + 1:pos + 2] != [a2.id]:
-            raise Unclassifiable(f"quasi vertex {t}: 2-cycle not consecutive")
+    def _classify_v2(self, t: int, mine, loops, loc) -> VertexClassification:
+        kind = self.vertices[t].kind
+        if len(loops) != 1 or kind != ORDINARY:
+            raise Unclassifiable(f"{kind} vertex {t} carries {len(loops)} loops")
+        loop = loops[0].id
+        a1, a3 = self._two_cycle(t, mine, loc, [loop])
+        return VertexClassification(V2, t, (a1.id, loop, a3.id), i=a1.src)
+
+    def _classify_v4(self, t: int, mine, loc) -> VertexClassification:
+        a1, a2 = self._two_cycle(t, mine, loc, [])
         return VertexClassification(V4, t, (a1.id, a2.id), i=a1.src)
 
-    def _try_v3(self, t: int, loc) -> VertexClassification | None:
-        partners = sorted({
-            a.tgt for a in self.arrows.values() if a.src == t
-            and a.tgt != t and self.vertices[a.tgt].kind == QUASI
-        })
+    def _try_v3(self, t: int, at, loc) -> VertexClassification | None:
+        # t carries no loop here, so each arrow out of t ends elsewhere
+        partners = sorted({a.tgt for a in at[t] if a.src == t
+                           and self.vertices[a.tgt].kind == QUASI})
         matches = []
         for j in partners:
-            m = self._match_v3(t, j, loc)
+            m = self._match_v3(t, j, at, loc)
             if m is not None:
                 matches.append(m)
         if not matches:
@@ -252,9 +244,9 @@ class PartitionedQuiver:
             raise AmbiguousClosure(f"vertex {t}: several quasi partners match V3")
         return matches[0]
 
-    def _match_v3(self, t: int, j: int, loc) -> VertexClassification | None:
-        fwd = [a for a in self.arrows.values() if a.src == t and a.tgt == j]
-        back = [a for a in self.arrows.values() if a.src == j and a.tgt == t]
+    def _match_v3(self, t: int, j: int, at, loc) -> VertexClassification | None:
+        fwd = [a for a in at[t] if a.src == t and a.tgt == j]
+        back = [a for a in at[t] if a.src == j and a.tgt == t]
         if len(fwd) != 1 or len(back) != 1:
             return None
         a2, a3 = fwd[0], back[0]
@@ -267,7 +259,7 @@ class PartitionedQuiver:
         if a1.tgt != t or a4.src != t:
             return None
         i, k = a1.src, a4.tgt
-        betas = self._closing_arrows(loc, (i, (pi, pos - 1)), (k, (pi, pos + 3)))
+        betas = self._closing_arrows(at, loc, (i, (pi, pos - 1)), (k, (pi, pos + 3)))
         if not betas:
             return None
         if len(betas) > 1:
@@ -276,7 +268,7 @@ class PartitionedQuiver:
             V3, t, (a1.id, a2.id, a3.id, a4.id), closures=(betas[0],),
             i=i, j=j, k=k)
 
-    def _closing_arrows(self, loc, p_side, q_side) -> list[int]:
+    def _closing_arrows(self, at, loc, p_side, q_side) -> list[int]:
         """Arrows joining vertex p to vertex q, in either direction, whose
         slot at p is off arc end p_end and whose slot at q is off q_end.
 
@@ -285,7 +277,7 @@ class PartitionedQuiver:
         """
         (p, p_end), (q, q_end) = p_side, q_side
         found = []
-        for g in self.arrows.values():
+        for g in at[p]:
             fwd = g.src == p and g.tgt == q
             bwd = g.src == q and g.tgt == p
             if not (fwd or bwd):
@@ -297,13 +289,18 @@ class PartitionedQuiver:
                 found.append(g.id)
         return found
 
-    def _classify_v1(self, t: int, loc) -> VertexClassification:
-        pairs = self._through_pairs(t)
-        inc = self.incident(t)
-        if len(pairs) != 2 or len(inc) != 4:
+    def _classify_v1(self, t: int, at, loc) -> VertexClassification:
+        # the 2-paths through t: each in-arrow, in path order, and the next
+        # arrow of its path
+        pairs = []
+        for (pi, pos), a in sorted((loc[a.id], a.id) for a in at[t] if a.tgt == t):
+            after = self.partition[pi][pos + 1:pos + 2]
+            if after and self.arrows[after[0]].src == t:
+                pairs.append((a, after[0]))
+        if len(pairs) != 2 or len(at[t]) != 4:
             raise Unclassifiable(
                 f"vertex {t}: expected two 2-paths through it, "
-                f"found {len(pairs)} (degree {len(inc)})")
+                f"found {len(pairs)} (degree {len(at[t])})")
         (a_in, a_out), (b_in, b_out) = pairs
         (ap, apos), (bp, bpos) = loc[a_in], loc[b_in]
         x, y = self.arrows[a_in].src, self.arrows[a_out].tgt
@@ -317,7 +314,8 @@ class PartitionedQuiver:
         t_arrows = {a_in, a_out, b_in, b_out}
 
         def candidates(p_name, q_name):
-            return [g for g in self._closing_arrows(loc, outer[p_name], outer[q_name])
+            return [g for g in self._closing_arrows(at, loc, outer[p_name],
+                                                    outer[q_name])
                     if g not in t_arrows]
 
         solutions = []
@@ -457,12 +455,11 @@ class PartitionedQuiver:
         """
         seqs = [seq for seq in self.itineraries() if seq]
         on_path = {v for s in seqs for v in s}
-
-        def attr(vid):
-            v = self.vertices[vid]
-            return (1 if v.frozen else 0, v.kind)
-
-        isolated = sorted(attr(v) for v in self.vertices if v not in on_path)
+        # each vertex's token at its first appearance
+        fresh = {v.id: (1, 0, v.kind, 1 if v.frozen else 0)
+                 for v in self.vertices.values()}
+        isolated = sorted((f, kind) for vid, (_, _, kind, f) in fresh.items()
+                          if vid not in on_path)
         best: list | None = None
 
         def segment(seq, labels):
@@ -473,8 +470,7 @@ class PartitionedQuiver:
                     toks.append((2, labels[vid], "", 0))
                 else:
                     labels[vid] = len(labels)
-                    f, kind = attr(vid)
-                    toks.append((1, 0, kind, f))
+                    toks.append(fresh[vid])
             return toks, labels
 
         def rec(remaining, labels, acc):

@@ -639,21 +639,27 @@ def _assign_corners(walks, triangles) -> dict[int, list[int]]:
                         cands.append(tri.id)
         return cands
 
-    def solve(k):
-        if k == len(slots):
-            return all(v == 0 for v in demand.values())
-        slot = slots[k]
-        for tid in candidates(slot):
-            assignment[slot] = tid
-            demand[tid] -= 1
-            if solve(k + 1):
-                return True
-            demand[tid] += 1
-            del assignment[slot]
-        return False
-
-    if not solve(0):
-        raise InvalidTriangulation("cannot assign corners to triangles")
+    # depth first over the slots in order, with one candidate iterator per
+    # slot on an explicit stack, so the depth is not bounded by the
+    # interpreter's recursion limit
+    stack = []
+    while True:
+        if len(stack) < len(slots):
+            stack.append(iter(candidates(slots[len(stack)])))
+        elif all(v == 0 for v in demand.values()):
+            break
+        while stack:   # the next candidate at the deepest slot
+            slot = slots[len(stack) - 1]
+            if slot in assignment:
+                demand[assignment.pop(slot)] += 1
+            tid = next(stack[-1], None)
+            if tid is not None:
+                assignment[slot] = tid
+                demand[tid] -= 1
+                break
+            stack.pop()
+        else:
+            raise InvalidTriangulation("cannot assign corners to triangles")
     out: dict[int, list[int]] = {pt: [0] * (len(walks[pt]) - 1) for pt in walks}
     for (pt, i), tid in assignment.items():
         out[pt][i] = tid

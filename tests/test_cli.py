@@ -9,7 +9,8 @@ from quasicluster.algebra import Seed
 from quasicluster.cli import main
 from quasicluster.laurent import EXPONENT_LIMIT, LaurentForm, Polynomial
 from quasicluster.pquiver import PartitionedQuiver
-from quasicluster.surface import QuasiTriangulation, annulus_crosscap
+from quasicluster.surface import (QuasiTriangulation, annulus_crosscap,
+                                  mobius_fan)
 
 
 def run(capsys, *argv):
@@ -36,6 +37,22 @@ def test_quiver_build_and_roundtrip(tmp_path, capsys):
     q = PartitionedQuiver.from_json(json.loads(qpath.read_text()))
     assert q.validate() == []
     assert q.canonical_form() == annulus_crosscap().build_quiver().canonical_form()
+
+
+def test_quiver_build_without_corner_field_at_size_400(tmp_path, capsys):
+    data = mobius_fan(400).to_json()
+    built = []
+    for name in ("with", "without"):
+        if name == "without":
+            del data["corner_triangles"]
+        tpath = tmp_path / f"t-{name}.json"
+        qpath = tmp_path / f"q-{name}.json"
+        tpath.write_text(json.dumps(data))
+        code, _, err = run(capsys, "quiver", "build", "--in", str(tpath),
+                           "--out", str(qpath))
+        assert code == 0, err
+        built.append(qpath.read_bytes())
+    assert built[0] == built[1]
 
 
 def test_mutate_prints_relation(tmp_path, capsys):

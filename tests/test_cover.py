@@ -1,8 +1,12 @@
+import random
+from collections import Counter
+
 import pytest
 
 from quasicluster.cover import DoubleCover, QuasiArcPresent, lift
+from quasicluster.pquiver import V1
 from quasicluster.surface import (annulus_crosscap, mobius_fan,
-                                  mobius_three_arc, polygon_fan)
+                                  mobius_three_arc, named_fixture, polygon_fan)
 from quasicluster.verify import figure_double_quiver
 
 
@@ -79,3 +83,46 @@ def test_sheet_parity():
             s0 = p0 in {dc.point_lift[(p, 0)] for p in base.points}
             s1 = p1 in {dc.point_lift[(p, 0)] for p in base.points}
             assert (s0 != s1) == bool(rho[arc])
+
+
+def cover_exchange(dc, dq, t):
+    """The classical exchange at t's sheet-0 lift in the double quiver dq:
+    the in-neighbour and the out-neighbour product after 2-cycles at the
+    lift cancel, each as a sorted tuple of base arcs."""
+    u = dc.arc_lift[(t, 0)]
+    base = {lifted: arc for (arc, _), lifted in dc.arc_lift.items()}
+    net = Counter()
+    for a in dq.arrows.values():
+        if a.tgt == u != a.src:
+            net[a.src] += 1
+        elif a.src == u != a.tgt:
+            net[a.tgt] -= 1
+    ins = sorted(base[v] for v, n in net.items() for _ in range(n))
+    outs = sorted(base[v] for v, n in net.items() for _ in range(-n))
+    return Counter([tuple(ins), tuple(outs)])
+
+
+@pytest.mark.parametrize("name", ["mobius-three-arc", "mobius:3", "mobius:4",
+                                  "mobius:5", "polygon:5", "polygon:6",
+                                  "polygon:8"])
+def test_v1_products_match_the_cover_exchange(name):
+    """Every V1 exchange of a quasi-arc-free triangulation is the classical
+    exchange at either lift in the orientable double cover, read back on the
+    base arcs (Fomin, Shapiro & Thurston 2008), frozen arcs included."""
+    rng = random.Random(name)
+    tri = named_fixture(name)
+    checked = 0
+    for _ in range(60):
+        tri = tri.flip(rng.choice(tri.internal_arcs()))
+        if tri.quasi_arcs():
+            continue
+        q = tri.build_quiver()
+        dc = lift(tri)
+        dq = dc.double_quiver()
+        for t in q.mutable_ids():
+            cls = q.classify_vertex(t)
+            if cls.type == V1:
+                products = Counter(tuple(sorted(p)) for p in cls.product_pairs)
+                assert products == cover_exchange(dc, dq, t), (t, cls)
+                checked += 1
+    assert checked

@@ -1,4 +1,5 @@
-"""Pinned SHA-256 digests of exploration, mutation and flip output.
+"""Pinned SHA-256 digests of exploration, mutation, classification and flip
+output.
 
 The JSON export is deterministic by design, so a refactor of the surface,
 quiver or exchange layers must reproduce these bytes exactly.  A change that moves a
@@ -117,3 +118,73 @@ def test_flip_walk_digest(name):
         if not t.quasi_arcs():
             h.update(lift(t).lifted.dumps().encode())
     assert h.hexdigest() == FLIP_WALK_DIGESTS[name]
+
+
+CLASSIFICATION_WALK_DIGESTS = {
+    "mobius:1":
+        "c0d550c0a150481a7ee66d10b78b762cc4c896d1a4dde7a2cedbe48d7de76787",
+    "mobius:2":
+        "fed25460c2b77ca9114cf26cb576605fa377ab3df272507a20b1d73f77472889",
+    "mobius:3":
+        "ccf73783f61fc92887ac161d2fe759e8701ab4f13ee714856355193dea6e1272",
+    "mobius:4":
+        "6f863f7e2858239ffcba193df116feac4f98af47f9dc71823f2fa98417468306",
+    "polygon:5":
+        "9efcba5a0d8069e0bfed64c3131e5c2bbc920beebbd111224961326a981311a4",
+    "polygon:6":
+        "98b03323adc2990a17351ce3d1a743aa3e686a7172ea5b24cb36e819bdee89d5",
+    "annulus-crosscap":
+        "2732b48da98f547cbf0a7b634892a3c2690acb101a8a1876104991524ce20c5f",
+    "mobius-three-arc":
+        "525e23b9237bb4cb49711966e67eff97aa41a0ab2826e6299fc2c6eaefb1a54d",
+    "three-boundary":
+        "eaf300cf88bc70c483cce880442710c804e571d89f4fe12e592750290a5a5f56",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_classification_walk_digest(name):
+    """The classification of every mutable vertex at every step of the
+    mutation walk above: roles, closing arrows and product order."""
+    rng = random.Random(name)
+    q = named_fixture(name).build_quiver()
+    h = hashlib.sha256()
+    for _ in range(50):
+        q = q.mutate(rng.choice(q.mutable_ids()))
+        for t in q.mutable_ids():
+            h.update(repr(q.classify_vertex(t)).encode())
+    assert h.hexdigest() == CLASSIFICATION_WALK_DIGESTS[name]
+
+
+CANONICAL_WALK_DIGESTS = {
+    "mobius:1":
+        "ab9a86374357e0343ba3857f1d2c537a852bb2fc442b7de5053b60741d07d8cb",
+    "mobius:2":
+        "22efe89bdc199c87ee144b147a24cc4a4621aa8ec11130bb8e46f1982f49bf57",
+    "mobius:3":
+        "944b4b23b07587021c138f23cdb93cff8c7355b3e67a3cb06bc529eed9528193",
+    "mobius:4":
+        "cc39fd04e564b5d9399ecf7a030ce65e9107cb430f4ff133599bc0a842e774d5",
+    "polygon:5":
+        "1a97f1c81f7d390e66e08c6ee0edd086d8d821d8a057d9a4b15b94e241c6801f",
+    "polygon:6":
+        "f11d9293fe4a05cdb0dbd3b4d33f4d283de4e270ea5e1f536d8fb224aeef9151",
+    "annulus-crosscap":
+        "c64c947e17971a20ecd497600977823678cd1aaf5e14f8c3fd933dfbd4092707",
+    "mobius-three-arc":
+        "a35bd3f48f3a0427f9c4353bd9f07d7ac5ce7e792d36cb76a27fd8db2f44a4a7",
+    "three-boundary":
+        "e2f5081ad3337df802710346259730b475d732b39a3fc94537757cc3e0e8da8b",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_canonical_form_walk_digest(name):
+    """The canonical form of each step's quiver along the flip walk above."""
+    rng = random.Random(name)
+    t = named_fixture(name)
+    h = hashlib.sha256()
+    for _ in range(60):
+        t = t.flip(rng.choice(t.internal_arcs()))
+        h.update(t.build_quiver().canonical_form())
+    assert h.hexdigest() == CANONICAL_WALK_DIGESTS[name]

@@ -254,3 +254,34 @@ def test_v3_closing_arrow_avoids_the_runs_own_arc_ends(itinerary):
     assert q.validate() == []
     with pytest.raises(Unclassifiable):
         q.classify_vertex(2)
+
+
+class CountingArrows(dict):
+    """An arrow dict that counts the passes made over it."""
+    passes = 0
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_classify_vertex_makes_one_pass_over_the_arrows():
+    names = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
+             "polygon:6", "annulus-crosscap", "mobius-three-arc",
+             "three-boundary"]
+    types = set()
+    for name in names:
+        q = named_fixture(name).build_quiver()
+        for t in q.mutable_ids():
+            q.arrows = CountingArrows(q.arrows)
+            types.add(q.classify_vertex(t).type)
+            assert q.arrows.passes == 1, (name, t)
+    assert types == {"V1", "V2", "V3", "V4"}

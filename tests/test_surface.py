@@ -178,6 +178,17 @@ def test_json_roundtrip_without_corner_field():
     assert back.build_quiver().canonical_form() == tri.build_quiver().canonical_form()
 
 
+@pytest.mark.parametrize("make, n", [(mobius_fan, 400), (polygon_fan, 400),
+                                     (mobius_fan, 1000)])
+def test_corner_field_is_rebuilt_for_large_fans(make, n):
+    """The corner search keeps its own stack, so its depth is not bounded
+    by the interpreter's recursion limit."""
+    tri = make(n)
+    data = tri.to_json()
+    del data["corner_triangles"]
+    assert QuasiTriangulation.from_json(data).corner_tri == tri.corner_tri
+
+
 def test_named_fixture_lookup():
     assert named_fixture("mobius:3").signature.c == 3
     assert named_fixture("annulus-crosscap").signature.b == 2
