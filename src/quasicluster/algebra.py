@@ -11,24 +11,52 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .laurent import Context, DenominatorVector, LaurentForm, LaurentViolation
-from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
+from .pquiver import (V1, V2, V3, V4, ClassificationError, PartitionedQuiver,
+                      VertexClassification)
 
 
-@dataclass
+class Shape:
+    """A quiver up to vertex names, its paths in partition order: the key of
+    ``PartitionedQuiver.shape``, one representative quiver with that key and
+    the representative's vertex ids in label order.  Never edited; equal
+    only to itself."""
+
+    __slots__ = ("key", "quiver", "order")
+
+    def __init__(self, key: tuple, quiver: PartitionedQuiver,
+                 order: tuple[int, ...]):
+        self.key, self.quiver, self.order = key, quiver, order
+
+
+@dataclass(slots=True)
 class Seed:
     """A quiver with a value at every vertex.
 
-    Seeds stored by one ``explore`` call share quiver objects (one per
-    vertex-labelled quiver), so a seed's quiver must not be edited in place.
+    The quiver is held as a shape and this seed's vertex ids in label order:
+    it is the shape's representative with the vertex labelled i renamed
+    ``order[i]``, rebuilt on each access of ``quiver``.  ``Seed(quiver,
+    context, values, frozen)`` makes the given quiver its own representative.
     """
 
-    quiver: PartitionedQuiver
+    shape: Shape   # a PartitionedQuiver when constructed from a quiver
     context: Context
     values: dict[int, LaurentForm]
     frozen: dict[int, LaurentForm]   # fixed value of every frozen vertex
+    order: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if isinstance(self.shape, PartitionedQuiver):
+            key, self.order = self.shape.shape()
+            self.shape = Shape(key, self.shape, self.order)
+
+    @property
+    def quiver(self) -> PartitionedQuiver:
+        shape = self.shape
+        if self.order is shape.order:   # the representative's own names
+            return shape.quiver.copy()
+        return shape.quiver.renamed(dict(zip(shape.order, self.order)))
 
     def value_of(self, v: int):
         return self.values[v] if v in self.values else self.frozen[v]
@@ -117,18 +145,20 @@ def _relation_key(seed: Seed, cls: VertexClassification) -> tuple:
 
 def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
                 relations: dict | None = None,
-                quiver: PartitionedQuiver | None = None) -> Seed:
+                child: tuple[Shape, tuple[int, ...]] | None = None) -> Seed:
     """Mutate at vertex t: new quiver plus the exchanged variable at t.
 
     ``cls`` is ``seed.quiver.classify_vertex(t)`` when the caller has already
-    made it, and ``quiver`` is ``seed.quiver.mutate(t, cls)`` (or a quiver
-    equal to it up to arrow ids) when the caller already has that.
+    made it, and ``child`` is the shape and vertex order of
+    ``seed.quiver.mutate(t, cls)`` when the caller already has them.
     ``relations`` is a memo of exchanged values E / x_t keyed by V-type,
     inputs and old value; a hit skips ``exchange_value`` and the division, a
     miss stores its result.  Without it every relation is computed afresh.
     """
+    quiver = None
     if cls is None:
-        cls = seed.quiver.classify_vertex(t)
+        quiver = seed.quiver
+        cls = quiver.classify_vertex(t)
     new_value = None
     if relations is not None:
         key = _relation_key(seed, cls)
@@ -142,9 +172,12 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
                 f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
         if relations is not None:
             relations[key] = new_value
+    values = {**seed.values, t: new_value}
+    if child is not None:
+        return Seed(child[0], seed.context, values, seed.frozen, child[1])
     if quiver is None:
-        quiver = seed.quiver.mutate(t, cls)
-    return Seed(quiver, seed.context, {**seed.values, t: new_value}, seed.frozen)
+        quiver = seed.quiver
+    return Seed(quiver.mutate(t, cls), seed.context, values, seed.frozen)
 
 
 class LimitExceeded(RuntimeError):
@@ -188,7 +221,7 @@ class ExchangeGraph:
         out = []
         for k in self.complete:
             nbrs = self.adjacency.get(k, {})
-            n = len(self.nodes[k].quiver.mutable_ids())
+            n = len(self.nodes[k].values)
             if len(nbrs) != n:
                 out.append(f"node has {len(nbrs)} mutations, expected {n}")
             targets = list(nbrs.values())
@@ -262,27 +295,6 @@ class ExchangeGraph:
         return "\n".join(lines)
 
 
-def _quiver_signature(quiver: PartitionedQuiver,
-                      rename: dict[int, int] | None = None) -> tuple:
-    """The quiver up to arrow ids, as a flat tuple, each vertex id passed
-    through ``rename`` (ids it lacks stay).
-
-    The vertex count and every vertex's (id, frozen, kind) in id order, then
-    each path's vertex itinerary in partition order, led by its length, so
-    negative vertex ids, which ``from_json`` accepts, cannot make two
-    quivers collide.  The partition covers every arrow, so two quivers with
-    equal signatures differ only in arrow ids.
-    """
-    get = (rename or {}).get
-    triples = sorted((get(v.id, v.id), v.frozen, v.kind)
-                     for v in quiver.vertices.values())
-    sig = [len(triples), *chain.from_iterable(triples)]
-    for p in quiver.itineraries():
-        sig.append(len(p))
-        sig += map(get, p, p) if rename else p
-    return tuple(sig)
-
-
 class SeedMismatch(RuntimeError):
     """Two seeds with one cluster carry different quivers under the map
     that matches their values: the cluster does not determine the seed."""
@@ -294,20 +306,43 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
 
     Returns None when a value repeats in the cluster, since no one-to-one map
     exists then.  Raises SeedMismatch unless the two quivers agree under the
-    map, frozen vertices mapping to themselves: equal ``_quiver_signature``,
-    that is the same (id, frozen, kind) for every vertex and the same path
-    itineraries in partition order (mutation never reorders the partition).
+    map, frozen vertices mapping to themselves: the same (id, frozen, kind)
+    for every vertex and the same path itineraries in partition order
+    (mutation never reorders the partition).  That is an equal shape key and
+    the map taking the child's vertex order to the stored one, vertices on
+    no path aside: those are in id order, which the map can permute.
     """
     at = {lf.canonical_serialize(): v for v, lf in stored.values.items()}
     if len(at) != len(stored.values):
         return None
     rename = {v: at[lf.canonical_serialize()] for v, lf in child.values.items()}
-    if child.quiver is stored.quiver and all(v == u for v, u in rename.items()):
-        return rename   # one quiver object under the identity map
-    if _quiver_signature(child.quiver, rename) != _quiver_signature(stored.quiver):
+    get = rename.get
+    a, b = child.shape, stored.shape
+    if (a is b or a.key == b.key) and \
+            all(get(v, v) == u for v, u in zip(child.order, stored.order)):
+        return rename
+    # vertices on no path are in id order, which the map can permute
+    if child.quiver.renamed(rename).shape() != (b.key, stored.order):
         raise SeedMismatch("two seeds of one cluster carry different quivers "
                            "under the map that matches their values")
     return rename
+
+
+def _transition(shape: Shape, i: int, shapes: dict) -> tuple:
+    """Classify and mutate the representative of ``shape`` at its vertex
+    labelled i: the classification, the child's shape (interned in
+    ``shapes``, key -> shape) and the labels of ``shape`` in the child's
+    vertex order, one byte each where that suffices."""
+    rep = shape.quiver
+    cls = rep.classify_vertex(shape.order[i])
+    quiver = rep.mutate(cls.t, cls)
+    key, order = quiver.shape()
+    child = shapes.get(key)
+    if child is None:
+        child = shapes[key] = Shape(key, quiver, order)
+    label = dict(zip(shape.order, range(len(shape.order))))
+    perm = [label[v] for v in order]
+    return cls, child, bytes(perm) if len(perm) <= 256 else tuple(perm)
 
 
 def explore(seed: Seed, max_nodes: int = 100000,
@@ -333,19 +368,21 @@ def explore(seed: Seed, max_nodes: int = 100000,
     the one that mutating at u would give.  Held edges of clusters never
     expanded are dropped; a cluster that repeats a value holds none.
 
-    Clusters that carry the same vertex-labelled quiver (equal
-    ``_quiver_signature``) share one quiver object, the root's included, so
-    stored seeds must not be edited in place.  A transition table for this
-    call maps (shared quiver, t) to the classification and the child's
-    shared quiver, so each shared quiver is classified and mutated at t
-    once.  A child quiver that is neither shared already nor the quiver of
-    a newly stored cluster is dropped, and its transition is not recorded.
+    The mutation rules never read vertex names, so clusters whose quivers
+    have one shape key share one ``Shape``, the root's included, each seed
+    carrying its own vertex order.  A transition table for this call holds,
+    for each (shape, label), the classification of the shape's
+    representative at that vertex, the child's shape and the child's vertex
+    order as labels of the parent, so each shape is classified and mutated
+    at each vertex once.  A seed's classification is the table's with the
+    representative's vertex names replaced by the seed's, arrow ids kept.
     """
     g = ExchangeGraph()
     relations: dict = {}
-    interned = {_quiver_signature(seed.quiver): seed.quiver}
-    transitions: dict = {}   # (quiver, t) -> (classification, child quiver)
-    pending: dict = {}       # unexpanded cluster -> {vertex: neighbour cluster}
+    shapes = {seed.shape.key: seed.shape}
+    table: dict = {}    # shape -> [_transition(shape, label, shapes) by label]
+    pending: dict = {}  # unexpanded cluster -> {vertex: neighbour cluster}
+    mutables = seed.quiver.mutable_ids()
     k0 = seed.cluster_key()
     g.nodes[k0] = seed
     g.paths[k0] = ()
@@ -359,36 +396,39 @@ def explore(seed: Seed, max_nodes: int = 100000,
         if max_depth is not None and len(path) >= max_depth:
             continue
         s = g.nodes[k]
-        q = s.quiver
+        shape, order = s.shape, s.order
+        label = dict(zip(order, range(len(order))))
+        row = table.get(shape)
+        if row is None:
+            row = table[shape] = [None] * len(order)
+        # the representative's vertex names to s's, unless they are the same
+        names = None if order is shape.order else dict(zip(shape.order, order))
         nbrs = g.adjacency.setdefault(k, {})
         held = pending.pop(k, {})
-        for t in q.mutable_ids():
+        for t in mutables:
             if t in nbrs:
                 continue   # the mutation that created k leads back to its parent
             if t in held:
                 nbrs[t] = held[t]   # found from that neighbour already
                 continue
-            known = transitions.get((q, t))
-            unshared = None   # signature of a child quiver not shared yet
-            if known is not None:
-                cls, cq = known
-            else:
-                cls = q.classify_vertex(t)
-                cq = q.mutate(t, cls)
-                sig = _quiver_signature(cq)
-                if sig in interned:
-                    cq = interned[sig]
-                    transitions[q, t] = (cls, cq)
-                else:
-                    unshared = sig
-            child = mutate_seed(s, t, cls, relations, quiver=cq)
+            i = label[t]
+            if row[i] is None:
+                try:
+                    row[i] = _transition(shape, i, shapes)
+                except ClassificationError:
+                    s.quiver.classify_vertex(t)   # raise it naming s's vertices
+                    raise
+            cls, cshape, perm = row[i]
+            if names is not None:
+                cls = cls.renamed(names)
+            corder = tuple(map(order.__getitem__, perm))
+            if corder == cshape.order:
+                corder = cshape.order   # then the child's classifications need no renaming
+            child = mutate_seed(s, t, cls, relations, child=(cshape, corder))
             ck = child.cluster_key()
             if ck not in g.nodes:
                 if len(g.nodes) >= max_nodes:
                     raise LimitExceeded(f"node budget {max_nodes} exhausted", g)
-                if unshared is not None:
-                    interned[unshared] = cq
-                    transitions[q, t] = (cls, cq)
                 g.nodes[ck] = child
                 g.paths[ck] = child_path = path + (t,)
                 g.adjacency[ck] = {t: k}

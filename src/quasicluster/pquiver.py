@@ -36,21 +36,21 @@ class AmbiguousClosure(ClassificationError):
     """More than one candidate closing pair; refusing to guess."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: int
     frozen: bool = False
     kind: str = ORDINARY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     id: int
     src: int
     tgt: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexClassification:
     """Bound roles for one of the four local configurations.
 
@@ -67,6 +67,17 @@ class VertexClassification:
     j: int | None = None
     k: int | None = None
     product_pairs: tuple[tuple[int, int], ...] = ()
+
+    def renamed(self, names) -> "VertexClassification":
+        """This classification with each vertex v in it replaced by
+        ``names[v]``; arrow ids stay."""
+        n = names.__getitem__
+        i, j, k = self.i, self.j, self.k
+        return VertexClassification(
+            self.type, n(self.t), self.arrows, self.closures,
+            i if i is None else n(i), j if j is None else n(j),
+            k if k is None else n(k),
+            tuple([(n(a), n(b)) for a, b in self.product_pairs]))
 
 
 def _json_int(value, name: str) -> int:
@@ -98,6 +109,11 @@ def _json_kind(value) -> str:
     return value
 
 
+def _code(v: Vertex) -> int:
+    """A vertex's (frozen, kind) as a negative int, below every label."""
+    return -1 - 2 * v.frozen - (v.kind == QUASI)
+
+
 class PartitionedQuiver:
     def __init__(self, vertices, arrows, partition):
         self.vertices: dict[int, Vertex] = {v.id: v for v in vertices}
@@ -126,6 +142,44 @@ class PartitionedQuiver:
         arrows = self.arrows
         return [[arrows[p[0]].src, *[arrows[aid].tgt for aid in p]] if p else []
                 for p in self.partition]
+
+    def shape(self) -> tuple[tuple, tuple[int, ...]]:
+        """``(key, order)``: this quiver up to vertex names, its paths in
+        partition order, and its vertex ids in label order.
+
+        Vertices are labelled by first appearance along the paths, then the
+        vertices on no path by (frozen, kind, id).  The key is the vertex
+        count, each itinerary led by its length (a vertex written as its
+        ``_code`` at its first appearance, as its label after that), then the
+        codes of the vertices on no path.  Equal keys and orders mean the
+        same vertices (id, frozen, kind) and itineraries: the two quivers
+        differ in arrow ids only."""
+        vertices = self.vertices
+        label: dict[int, int] = {}
+        key = [len(vertices)]
+        for path in self.itineraries():
+            key.append(len(path))
+            for v in path:
+                if v in label:
+                    key.append(label[v])
+                else:
+                    label[v] = len(label)
+                    key.append(_code(vertices[v]))
+        for v in sorted((v for v in vertices.values() if v.id not in label),
+                        key=lambda v: (v.frozen, v.kind, v.id)):
+            label[v.id] = len(label)
+            key.append(_code(v))
+        return tuple(key), tuple(label)
+
+    def renamed(self, names: dict[int, int]) -> "PartitionedQuiver":
+        """This quiver with each vertex id v renamed ``names.get(v, v)``;
+        arrow ids, the order of both dicts and the partition stay."""
+        get = names.get
+        return PartitionedQuiver(
+            [Vertex(get(v.id, v.id), v.frozen, v.kind) for v in self.vertices.values()],
+            [Arrow(a.id, get(a.src, a.src), get(a.tgt, a.tgt))
+             for a in self.arrows.values()],
+            self.partition)
 
     def _positions(self) -> dict[int, tuple[int, int]]:
         """Map each arrow id to its (path index, position in path)."""

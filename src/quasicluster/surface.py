@@ -121,6 +121,14 @@ def _triangle_matchings(corners: list[tuple[End, End]]):
     return out
 
 
+def _realizes(corners: list[tuple[End, End]], sides) -> bool:
+    """Whether some side matching of three corners uses exactly the arcs
+    ``sides``."""
+    want = sorted(sides)
+    return any(sorted(corners[ci][mi][0] for (ci, mi), _ in m) == want
+               for m in _triangle_matchings(corners))
+
+
 class QuasiTriangulation:
     def __init__(self, signature, arcs, points, walks, corner_tri, triangles,
                  boundary_orientation=None):
@@ -247,15 +255,7 @@ class QuasiTriangulation:
                 if len(slots) != 3:
                     out.append(f"triangle {tri.id} has {len(slots)} corners")
                     continue
-                corners = [self.corner_tokens(*s) for s in slots]
-                matchings = _triangle_matchings(corners)
-                good = False
-                for m in matchings:
-                    arcs = sorted(corners[ci][mi][0] for (ci, mi), _ in m)
-                    if arcs == sorted(tri.sides):
-                        good = True
-                        break
-                if not good:
+                if not _realizes([self.corner_tokens(*s) for s in slots], tri.sides):
                     out.append(f"triangle {tri.id}: corners do not realize sides {tri.sides}")
                 doubled = len(set(tri.sides)) < len(tri.sides)
                 if doubled != (tri.kind == TRI_ANTI_SELF_FOLDED):
@@ -608,36 +608,46 @@ class QuasiTriangulation:
 def _assign_corners(walks, triangles) -> dict[int, list[int]]:
     """Reconstruct the corner-to-triangle assignment by backtracking.
 
-    Used when importing JSON without the explicit corner_triangles field.
+    Used when importing JSON without the explicit corner_triangles field.  A
+    triangle takes its last corner only if its corners realize its sides (the
+    test ``validate`` makes), so every assignment found is a valid one.
     """
     slots = [(pt, i) for pt in sorted(walks) for i in range(len(walks[pt]) - 1)]
-    demand: dict[int, int] = {}
-    for tri in triangles:
-        demand[tri.id] = 1 if tri.kind == TRI_QUASI else 3
+    tris = {tri.id: tri for tri in triangles}
+    demand = {tid: 1 if tri.kind == TRI_QUASI else 3 for tid, tri in tris.items()}
+    held: dict[int, list[tuple[End, End]]] = {tid: [] for tid in tris}
     assignment: dict[tuple[int, int], int] = {}
+    # the triangles with each arc as a side, in the given order; a
+    # quasi-triangle under its loop only
+    by_arc: dict[int, list[Triangle]] = {}
+    for tri in triangles:
+        for a in tri.sides[:1] if tri.kind == TRI_QUASI else dict.fromkeys(tri.sides):
+            by_arc.setdefault(a, []).append(tri)
 
-    def corner_arcs(slot):
+    def corner(slot):
         pt, i = slot
-        return walks[pt][i][0], walks[pt][i + 1][0]
+        return walks[pt][i], walks[pt][i + 1]
 
     def candidates(slot):
-        a, b = corner_arcs(slot)
+        (a, _), (b, _) = corner(slot)
         cands = []
-        for tri in triangles:
+        for tri in by_arc.get(a, ()):
             if demand[tri.id] <= 0:
                 continue
             if tri.kind == TRI_QUASI:
-                loop = tri.sides[0]
-                if a == loop and b == loop:
+                if b == a:
                     cands.append(tri.id)
             else:
-                sides = list(tri.sides)
-                if a in sides:
-                    rest = sides.copy()
-                    rest.remove(a)
-                    if b in rest:
-                        cands.append(tri.id)
+                rest = list(tri.sides)
+                rest.remove(a)
+                if b in rest:
+                    cands.append(tri.id)
         return cands
+
+    def fits(tid, slot):
+        tri = tris[tid]
+        return demand[tid] > 1 or tri.kind == TRI_QUASI or \
+            _realizes(held[tid] + [corner(slot)], tri.sides)
 
     # depth first over the slots in order, with one candidate iterator per
     # slot on an explicit stack, so the depth is not bounded by the
@@ -648,14 +658,17 @@ def _assign_corners(walks, triangles) -> dict[int, list[int]]:
             stack.append(iter(candidates(slots[len(stack)])))
         elif all(v == 0 for v in demand.values()):
             break
-        while stack:   # the next candidate at the deepest slot
+        while stack:   # the next fitting candidate at the deepest slot
             slot = slots[len(stack) - 1]
             if slot in assignment:
-                demand[assignment.pop(slot)] += 1
-            tid = next(stack[-1], None)
+                tid = assignment.pop(slot)
+                demand[tid] += 1
+                held[tid].pop()
+            tid = next((t for t in stack[-1] if fits(t, slot)), None)
             if tid is not None:
                 assignment[slot] = tid
                 demand[tid] -= 1
+                held[tid].append(corner(slot))
                 break
             stack.pop()
         else:

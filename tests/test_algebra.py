@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from quasicluster import algebra, verify
-from quasicluster.algebra import (LimitExceeded, Seed, SeedMismatch,
+from quasicluster.algebra import (LimitExceeded, Seed, SeedMismatch, Shape,
                                   check_laurent_positive, exchange_value,
                                   explore, initial_seed, match_seeds,
                                   mobius_variable_count, mutate_seed,
@@ -326,7 +327,8 @@ def test_match_seeds_maps_by_value_and_checks_the_quiver():
 
 def test_signature_sees_through_relabelling():
     # on walks from every fixture, a copy with renamed mutable vertices has
-    # the original's signature once the renaming is undone
+    # the original's shape key, and its vertex order is the original's once
+    # the renaming is undone
     for fixture in FIXTURES:
         rng = random.Random(fixture)
         s = initial_seed(named_fixture(fixture).build_quiver(),
@@ -335,9 +337,112 @@ def test_signature_sees_through_relabelling():
             ids = s.quiver.mutable_ids()
             perm = dict(zip(ids, rng.sample(ids, len(ids))))
             inverse = {u: v for v, u in perm.items()}
-            assert (algebra._quiver_signature(relabelled(s, perm).quiver, inverse)
-                    == algebra._quiver_signature(s.quiver))
+            key, order = relabelled(s, perm).quiver.shape()
+            assert key == s.quiver.shape()[0]
+            assert tuple(inverse.get(v, v) for v in order) == s.quiver.shape()[1]
             s = mutate_seed(s, rng.choice(ids))
+
+
+def reference_signature(quiver, rename=None):
+    """The seed guard's quiver comparison before shapes, kept as a
+    reference: the vertex count and every vertex's (id, frozen, kind) in id
+    order, then each path's vertex itinerary in partition order led by its
+    length, each vertex id passed through ``rename``."""
+    get = (rename or {}).get
+    triples = sorted((get(v.id, v.id), v.frozen, v.kind)
+                     for v in quiver.vertices.values())
+    sig = [len(triples), *chain.from_iterable(triples)]
+    for p in quiver.itineraries():
+        sig.append(len(p))
+        sig += map(get, p, p) if rename else p
+    return tuple(sig)
+
+
+def reference_match(child, stored):
+    """``match_seeds`` by ``reference_signature``: the value map, None, or
+    SeedMismatch."""
+    at = {lf.canonical_serialize(): v for v, lf in stored.values.items()}
+    if len(at) != len(stored.values):
+        return None
+    rename = {v: at[lf.canonical_serialize()] for v, lf in child.values.items()}
+    if reference_signature(child.quiver, rename) != reference_signature(stored.quiver):
+        raise SeedMismatch("reference")
+    return rename
+
+
+def guard_outcome(match, child, stored):
+    try:
+        return match(child, stored)
+    except SeedMismatch:
+        return SeedMismatch
+
+
+def edited(seed, edit):
+    """``seed`` with ``edit`` applied to the JSON of its quiver."""
+    data = seed.quiver.to_json()
+    edit(data)
+    return Seed(PartitionedQuiver.from_json(data), seed.context, seed.values,
+                seed.frozen)
+
+
+def guard_edits(rng, quiver):
+    """The four edits of test_match_seeds_maps_by_value_and_checks_the_quiver
+    at random places: one mutable vertex's kind, one arrow's target, one
+    vertex's frozen flag, the order of the paths."""
+    mutable = [i for i, v in enumerate(quiver.to_json()["vertices"])
+               if not v["frozen"]]
+    ids = quiver.mutable_ids()
+
+    def kind(d):
+        v = d["vertices"][rng.choice(mutable)]
+        v["kind"] = "quasi" if v["kind"] == "ordinary" else "ordinary"
+
+    def target(d):
+        d["arrows"][rng.randrange(len(d["arrows"]))]["tgt"] = rng.choice(ids)
+
+    def frozen(d):
+        v = d["vertices"][rng.randrange(len(d["vertices"]))]
+        v["frozen"] = not v["frozen"]
+
+    return kind, target, frozen, lambda d: d["partition"].reverse()
+
+
+def test_match_seeds_agrees_with_the_signature_guard():
+    # on 30-step walks from every fixture: random relabellings of the mutable
+    # vertices and the four edits, each seed against each as child and as
+    # stored seed; plus two arrow-less mutable vertices swapped, which the
+    # vertex order alone lists in another order
+    pairs = []
+    for fixture in FIXTURES:
+        rng = random.Random(fixture)
+        s = initial_seed(named_fixture(fixture).build_quiver(),
+                         tracking="denominator")
+        for _ in range(30):
+            ids = s.quiver.mutable_ids()
+            child = relabelled(s, dict(zip(ids, rng.sample(ids, len(ids)))))
+            pairs += [(child, s), (s, child)]
+            for edit in guard_edits(rng, s.quiver):
+                other = edited(s, edit)
+                pairs += [(child, other), (other, child), (s, other)]
+            s = mutate_seed(s, rng.choice(ids))
+    base = initial_seed(mobius_fan(3).build_quiver())
+    x = base.values[1]
+    data = base.quiver.to_json()
+    data["vertices"] += [{"id": v, "frozen": False, "kind": "ordinary"}
+                         for v in (100, 101)]
+    lonely = Seed(PartitionedQuiver.from_json(data), base.context,
+                  {**base.values, 100: x * x, 101: x * x * x}, base.frozen)
+    swapped = relabelled(lonely, {**{v: v for v in base.values},
+                                  100: 101, 101: 100})
+    pairs += [(swapped, lonely), (lonely, swapped)]
+    outcomes = []
+    for child, stored in pairs:
+        want = guard_outcome(reference_match, child, stored)
+        assert guard_outcome(match_seeds, child, stored) == want
+        outcomes.append(want)
+    assert outcomes[-1] == {v: v for v in base.values} | {100: 101, 101: 100}
+    assert SeedMismatch in outcomes and sum(o is SeedMismatch for o in outcomes) \
+        < len(outcomes)
 
 
 def test_json_edges_list_each_label_of_an_edge():
@@ -428,15 +533,50 @@ def test_explore_shares_quivers_and_transitions_per_call(monkeypatch):
         with pytest.raises(LimitExceeded) as err:
             explore(seed, max_nodes=2000)
         counts.append(classifications[0])
-        # clusters outnumber their vertex-labelled quivers, so classifications
+        # clusters outnumber the shapes of their quivers, so classifications
         # and quiver mutations are reused across clusters
         assert classifications[0] < mutations[0]
         g = err.value.graph
-        shapes = {quiver_shape(s.quiver) for s in g.nodes.values()}
-        assert len({id(s.quiver) for s in g.nodes.values()}) == len(shapes)
-        assert len(shapes) < g.node_count()
+        keys = {s.shape.key for s in g.nodes.values()}
+        # one shape object per key, and each seed's quiver has its shape's
+        # key in its own vertex order
+        assert len({id(s.shape) for s in g.nodes.values()}) == len(keys)
+        assert len(keys) < g.node_count()
+        for s in g.nodes.values():
+            assert s.quiver.shape() == (s.shape.key, s.order)
     # the transition table lives for one call
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("tracking", ["exact", "denominator"])
+def test_explore_gives_each_seed_its_own_classification_and_child(
+        monkeypatch, tracking):
+    # the classification and child that explore takes from its shape table
+    # are those of the seed's own quiver
+    original = algebra.mutate_seed
+    calls = [0]
+
+    def checked(seed, t, cls=None, relations=None, child=None):
+        calls[0] += 1
+        quiver = seed.quiver
+        assert cls == quiver.classify_vertex(t)
+        made = original(seed, t, cls, relations, child=child)
+        assert (made.shape, made.order) == child
+        assert made.quiver.shape() == quiver.mutate(t).shape()
+        return made
+
+    monkeypatch.setattr(algebra, "mutate_seed", checked)
+    for fixture in FIXTURES:
+        explored(fixture, 500, tracking=tracking)
+    assert calls[0] > 0
+
+
+def test_degree_audit_builds_no_quiver(monkeypatch):
+    g = explored("annulus-crosscap", 2000, coeff_free=True,
+                 tracking="denominator")
+    built = counting(monkeypatch, PartitionedQuiver, "__init__")
+    assert g.degree_audit() == []
+    assert built[0] == 0
 
 
 def test_mutate_seed_with_given_classification():
@@ -454,12 +594,14 @@ def test_mutate_seed_with_given_child_quiver():
     for t in seed.quiver.mutable_ids():
         made = mutate_seed(seed, t)
         cls = seed.quiver.classify_vertex(t)
-        given = mutate_seed(seed, t, cls, quiver=seed.quiver.mutate(t, cls))
+        quiver = seed.quiver.mutate(t, cls)
+        key, order = quiver.shape()
+        given = mutate_seed(seed, t, cls, child=(Shape(key, quiver, order), order))
         assert given.quiver.to_json() == made.quiver.to_json()
         assert given.values == made.values
-        # the child quiver is used as it is, not rebuilt
-        again = mutate_seed(seed, t, cls, quiver=given.quiver)
-        assert again.quiver is given.quiver
+        # the child's shape and order are used as they are, not rebuilt
+        again = mutate_seed(seed, t, cls, child=(given.shape, given.order))
+        assert again.shape is given.shape and again.order is given.order
 
 
 def test_depth_limit():
