@@ -13,8 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .laurent import Context, DenominatorVector, LaurentForm, LaurentViolation
-from .pquiver import (V1, V2, V3, V4, ClassificationError, PartitionedQuiver,
-                      VertexClassification)
+from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
 
 
 class Shape:
@@ -144,40 +143,52 @@ def _relation_key(seed: Seed, cls: VertexClassification) -> tuple:
 
 
 def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
-                relations: dict | None = None,
-                child: tuple[Shape, tuple[int, ...]] | None = None) -> Seed:
+                memo: dict | None = None) -> Seed:
     """Mutate at vertex t: new quiver plus the exchanged variable at t.
 
-    ``cls`` is ``seed.quiver.classify_vertex(t)`` when the caller has already
-    made it, and ``child`` is the shape and vertex order of
-    ``seed.quiver.mutate(t, cls)`` when the caller already has them.
-    ``relations`` is a memo of exchanged values E / x_t keyed by V-type,
-    inputs and old value; a hit skips ``exchange_value`` and the division, a
-    miss stores its result.  Without it every relation is computed afresh.
+    The V1-V4 rules never read vertex names, so the representative of the
+    seed's shape is classified and mutated at the vertex labelled like t,
+    and the classification renamed to the seed's vertices equals
+    ``seed.quiver.classify_vertex(t)``, arrow ids included.  ``memo`` is a
+    dict shared by repeated calls (a fresh one without it): shape key ->
+    ``Shape``, each shape's row of ``_transition`` results by label, and
+    E / x_t by V-type, inputs and old value.  With ``cls``, a classification
+    the caller has made, the seed's own quiver is mutated instead.
     """
-    quiver = None
+    if memo is None:
+        memo = {}
     if cls is None:
-        quiver = seed.quiver
-        cls = quiver.classify_vertex(t)
-    new_value = None
-    if relations is not None:
-        key = _relation_key(seed, cls)
-        new_value = relations.get(key)
+        shape, order = seed.shape, seed.order
+        row = memo.get(shape)
+        if row is None:   # a shape not met yet, or a copy of one met
+            shape = memo.setdefault(shape.key, shape)
+            row = memo.setdefault(shape, [None] * len(order))
+        try:
+            i = order.index(t)
+            if row[i] is None:
+                row[i] = _transition(shape, i, memo)
+        except ValueError:   # t is no vertex, or a ClassificationError
+            seed.quiver.classify_vertex(t)   # raise it naming the seed's vertices
+            raise
+        cls, child, perm = row[i]
+        if order is not shape.order:
+            cls = cls.renamed(dict(zip(shape.order, order)))
+        corder = tuple(map(order.__getitem__, perm))
+        if corder == child.order:
+            corder = child.order   # then the child's classifications need no renaming
+    else:
+        child, corder = seed.quiver.mutate(t, cls), ()
+    key = _relation_key(seed, cls)
+    new_value = memo.get(key)
     if new_value is None:
         ex = exchange_value(seed, cls)
         try:
-            new_value = ex.divide(seed.values[t])
+            new_value = memo[key] = ex.divide(seed.values[t])
         except LaurentViolation as exc:
             raise LaurentViolation(
                 f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
-        if relations is not None:
-            relations[key] = new_value
-    values = {**seed.values, t: new_value}
-    if child is not None:
-        return Seed(child[0], seed.context, values, seed.frozen, child[1])
-    if quiver is None:
-        quiver = seed.quiver
-    return Seed(quiver.mutate(t, cls), seed.context, values, seed.frozen)
+    return Seed(child, seed.context, {**seed.values, t: new_value}, seed.frozen,
+                corder)
 
 
 class LimitExceeded(RuntimeError):
@@ -328,18 +339,18 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     return rename
 
 
-def _transition(shape: Shape, i: int, shapes: dict) -> tuple:
+def _transition(shape: Shape, i: int, memo: dict) -> tuple:
     """Classify and mutate the representative of ``shape`` at its vertex
     labelled i: the classification, the child's shape (interned in
-    ``shapes``, key -> shape) and the labels of ``shape`` in the child's
+    ``memo``, key -> shape) and the labels of ``shape`` in the child's
     vertex order, one byte each where that suffices."""
     rep = shape.quiver
     cls = rep.classify_vertex(shape.order[i])
     quiver = rep.mutate(cls.t, cls)
     key, order = quiver.shape()
-    child = shapes.get(key)
+    child = memo.get(key)
     if child is None:
-        child = shapes[key] = Shape(key, quiver, order)
+        child = memo[key] = Shape(key, quiver, order)
     label = dict(zip(shape.order, range(len(shape.order))))
     perm = [label[v] for v in order]
     return cls, child, bytes(perm) if len(perm) <= 256 else tuple(perm)
@@ -354,33 +365,22 @@ def explore(seed: Seed, max_nodes: int = 100000,
     built, so no child is computed past it.  Deterministic: FIFO frontier,
     vertices in ascending order.
 
-    Each exchange relation is computed once per call: one memo of exchanged
-    values (see ``mutate_seed``) lives for this call only, so separate calls
-    on the same seed do the same work.  Each edge of the exchange graph is
-    computed once too, since mutation is an involution.  A cluster first
-    created from k by mutating at t records k as its neighbour at t.  A
-    cluster found again from k at t keeps the seed of the path that created
-    it, so its vertex back to k is the vertex u whose value equals the new
-    value at t (``match_seeds``, which raises SeedMismatch if the stored
-    seed's quiver differs from the new one under that value map).  That edge
-    is held until the cluster is expanded and only then recorded at u, the
-    moment it would be computed, so the graph, partial graphs included, is
-    the one that mutating at u would give.  Held edges of clusters never
-    expanded are dropped; a cluster that repeats a value holds none.
-
-    The mutation rules never read vertex names, so clusters whose quivers
-    have one shape key share one ``Shape``, the root's included, each seed
-    carrying its own vertex order.  A transition table for this call holds,
-    for each (shape, label), the classification of the shape's
-    representative at that vertex, the child's shape and the child's vertex
-    order as labels of the parent, so each shape is classified and mutated
-    at each vertex once.  A seed's classification is the table's with the
-    representative's vertex names replaced by the seed's, arrow ids kept.
+    One ``mutate_seed`` memo serves this call and no other, so separate
+    calls on the same seed do the same work.  Each edge of the exchange
+    graph is computed once, since mutation is an involution.  A cluster
+    first created from k by mutating at t records k as its neighbour at t.
+    A cluster found again from k at t keeps the seed of the path that
+    created it, so its vertex back to k is the vertex u whose value equals
+    the new value at t (``match_seeds``, which raises SeedMismatch if the
+    stored seed's quiver differs from the new one under that value map).
+    That edge is held until the cluster is expanded and only then recorded
+    at u, the moment it would be computed, so the graph, partial graphs
+    included, is the one that mutating at u would give.  Held edges of
+    clusters never expanded are dropped; a cluster that repeats a value
+    holds none.
     """
     g = ExchangeGraph()
-    relations: dict = {}
-    shapes = {seed.shape.key: seed.shape}
-    table: dict = {}    # shape -> [_transition(shape, label, shapes) by label]
+    memo: dict = {}
     pending: dict = {}  # unexpanded cluster -> {vertex: neighbour cluster}
     mutables = seed.quiver.mutable_ids()
     k0 = seed.cluster_key()
@@ -396,13 +396,6 @@ def explore(seed: Seed, max_nodes: int = 100000,
         if max_depth is not None and len(path) >= max_depth:
             continue
         s = g.nodes[k]
-        shape, order = s.shape, s.order
-        label = dict(zip(order, range(len(order))))
-        row = table.get(shape)
-        if row is None:
-            row = table[shape] = [None] * len(order)
-        # the representative's vertex names to s's, unless they are the same
-        names = None if order is shape.order else dict(zip(shape.order, order))
         nbrs = g.adjacency.setdefault(k, {})
         held = pending.pop(k, {})
         for t in mutables:
@@ -411,20 +404,7 @@ def explore(seed: Seed, max_nodes: int = 100000,
             if t in held:
                 nbrs[t] = held[t]   # found from that neighbour already
                 continue
-            i = label[t]
-            if row[i] is None:
-                try:
-                    row[i] = _transition(shape, i, shapes)
-                except ClassificationError:
-                    s.quiver.classify_vertex(t)   # raise it naming s's vertices
-                    raise
-            cls, cshape, perm = row[i]
-            if names is not None:
-                cls = cls.renamed(names)
-            corder = tuple(map(order.__getitem__, perm))
-            if corder == cshape.order:
-                corder = cshape.order   # then the child's classifications need no renaming
-            child = mutate_seed(s, t, cls, relations, child=(cshape, corder))
+            child = mutate_seed(s, t, memo=memo)
             ck = child.cluster_key()
             if ck not in g.nodes:
                 if len(g.nodes) >= max_nodes:

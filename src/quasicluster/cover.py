@@ -114,37 +114,27 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
         matching = _triangle_matchings(corners)
         if not matching:
             raise InvalidTriangulation(f"triangle {tri.id} has no side matching")
-        lifted_slots = []
-        for ci, (p, i) in enumerate(slots):
-            for s in (0, 1):
-                idx = i if s == 0 else len(base.walks[p]) - 2 - i
-                lifted_slots.append((ci, s, p, idx))
-        parent = {ls[:2]: ls[:2] for ls in lifted_slots}
-        for (c0, m0), (c1, m1) in matching[0]:
-            a0, e0 = corners[c0][m0]
-            for s in (0, 1):
-                for s2 in (0, 1):
-                    if copy_sheet(a0, e0, s) == copy_sheet(corners[c1][m1][0],
-                                                           corners[c1][m1][1], s2):
-                        parent[_find(parent, (c0, s))] = _find(parent, (c1, s2))
-        groups: dict[tuple, list] = {}
-        for ci, s, p, idx in lifted_slots:
-            groups.setdefault(_find(parent, (ci, s)), []).append((ci, s, p, idx))
-        if len(groups) != 2 or any(len(g) != 3 for g in groups.values()):
+        # corner 0 on sheet 0; each side moves the next corner across by its
+        # arc's transport bit, and the closing side must lead back to sheet 0
+        matched = matching[0]
+        sheets = [0]
+        for (c0, m0), _ in matched:
+            sheets.append(sheets[-1] ^ rho[corners[c0][m0][0]])
+        if sheets.pop():
             raise InvalidTriangulation(
                 f"triangle {tri.id} does not lift to two triangles")
-        for key in sorted(groups, key=lambda k: sorted(groups[k])):
-            members = groups[key]
+        for flip in (0, 1):   # the second lift is the complement
             sides = []
-            for (c0, m0), (c1, m1) in matching[0]:
-                a0, e0 = corners[c0][m0]
-                sheet = next(s for ci, s, _, _ in members if ci == c0)
-                sides.append(arc_lift[(a0, copy_sheet(a0, e0, sheet))])
+            for (c0, m0), _ in matched:
+                a, e = corners[c0][m0]
+                sides.append(arc_lift[(a, copy_sheet(a, e, sheets[c0] ^ flip))])
             doubled = len(set(sides)) < len(sides)
             kind = TRI_ANTI_SELF_FOLDED if doubled else TRI_REGULAR
             t = Triangle(next_tri, kind, tuple(sorted(sides)))
             triangles.append(t)
-            for ci, s, p, idx in members:
+            for (p, i), sheet in zip(slots, sheets):
+                s = sheet ^ flip
+                idx = i if s == 0 else len(base.walks[p]) - 2 - i
                 corner_tri[point_lift[(p, s)]][idx] = next_tri
             next_tri += 1
 

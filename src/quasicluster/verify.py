@@ -65,16 +65,17 @@ def _random_seed_pool(rng: random.Random) -> list[Seed]:
 
 
 def involution_holds(seed: Seed, t: int) -> bool:
-    """mu_t(mu_t(seed)) has the quiver of ``seed`` up to canonical form and
-    its values."""
+    """mu_t(mu_t(seed)) has the quiver of ``seed`` up to arrow ids (the same
+    vertices and path itineraries) and its values."""
     s2 = mutate_seed(mutate_seed(seed, t), t)
-    return (s2.quiver.canonical_form() == seed.quiver.canonical_form()
+    return (s2.quiver.shape() == seed.quiver.shape()
             and all(s2.values[v].canonical_serialize()
                     == seed.values[v].canonical_serialize() for v in seed.values))
 
 
 def suite_involution(pairs: int = 1000, rng_seed: int = 20406) -> SuiteResult:
-    """mu_t^2 = identity on quiver canonical form and variable assignments."""
+    """mu_t^2 = identity on quivers up to arrow ids and on variable
+    assignments."""
     rng = random.Random(rng_seed)
     pool = _random_seed_pool(rng)
     lines = []
@@ -110,7 +111,7 @@ def suite_compat(max_len: int = 3) -> SuiteResult:
                 t2 = t.flip(arc)
                 q2 = q.mutate(arc)
                 checked[0] += 1
-                if t2.build_quiver().canonical_form() != q2.canonical_form():
+                if t2.build_quiver().shape() != q2.shape():
                     mismatches[0] += 1
                 else:
                     walk(t2, q2, depth + 1)

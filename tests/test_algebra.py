@@ -5,7 +5,7 @@ from itertools import chain
 import pytest
 
 from quasicluster import algebra, verify
-from quasicluster.algebra import (LimitExceeded, Seed, SeedMismatch, Shape,
+from quasicluster.algebra import (LimitExceeded, Seed, SeedMismatch,
                                   check_laurent_positive, exchange_value,
                                   explore, initial_seed, match_seeds,
                                   mobius_variable_count, mutate_seed,
@@ -13,7 +13,8 @@ from quasicluster.algebra import (LimitExceeded, Seed, SeedMismatch, Shape,
                                   unistructurality_scan)
 from quasicluster.cli import main
 from quasicluster.laurent import LaurentForm, LaurentViolation
-from quasicluster.pquiver import PartitionedQuiver, VertexClassification
+from quasicluster.pquiver import (PartitionedQuiver, Unclassifiable,
+                                  VertexClassification)
 from quasicluster.surface import (annulus_crosscap, mobius_fan, named_fixture,
                                   polygon_fan)
 
@@ -227,9 +228,11 @@ def test_mutate_seed_with_relations_memo():
         for s in [seed, *children, seed]:   # misses, then hits
             for t in s.quiver.mutable_ids():
                 fresh = mutate_seed(s, t)
-                memo = mutate_seed(s, t, relations=relations)
+                memo = mutate_seed(s, t, memo=relations)
                 assert memo.values == fresh.values
-                assert memo.quiver.to_json() == fresh.quiver.to_json()
+                # the memo shares child shapes by key, and a shape's
+                # representative fixes the arrow ids
+                assert memo.quiver.shape() == fresh.quiver.shape()
         assert relations
 
 
@@ -551,24 +554,28 @@ def test_explore_shares_quivers_and_transitions_per_call(monkeypatch):
 @pytest.mark.parametrize("tracking", ["exact", "denominator"])
 def test_explore_gives_each_seed_its_own_classification_and_child(
         monkeypatch, tracking):
-    # the classification and child that explore takes from its shape table
-    # are those of the seed's own quiver
-    original = algebra.mutate_seed
-    calls = [0]
+    # the classification and child that mutate_seed takes from its memo are
+    # those of the seed's own quiver
+    original_key, original = algebra._relation_key, algebra.mutate_seed
+    keys, calls = [0], [0]
 
-    def checked(seed, t, cls=None, relations=None, child=None):
+    def checked_key(seed, cls):
+        # every mutation reads its relation key, memo hits included
+        keys[0] += 1
+        assert cls == seed.quiver.classify_vertex(cls.t)
+        return original_key(seed, cls)
+
+    def checked(seed, t, *args, **kwargs):
         calls[0] += 1
-        quiver = seed.quiver
-        assert cls == quiver.classify_vertex(t)
-        made = original(seed, t, cls, relations, child=child)
-        assert (made.shape, made.order) == child
-        assert made.quiver.shape() == quiver.mutate(t).shape()
+        made = original(seed, t, *args, **kwargs)
+        assert made.quiver.shape() == seed.quiver.mutate(t).shape()
         return made
 
+    monkeypatch.setattr(algebra, "_relation_key", checked_key)
     monkeypatch.setattr(algebra, "mutate_seed", checked)
     for fixture in FIXTURES:
         explored(fixture, 500, tracking=tracking)
-    assert calls[0] > 0
+    assert keys[0] == calls[0] > 0
 
 
 def test_degree_audit_builds_no_quiver(monkeypatch):
@@ -589,19 +596,34 @@ def test_mutate_seed_with_given_classification():
 
 
 
-def test_mutate_seed_with_given_child_quiver():
-    seed = initial_seed(mobius_fan(3).build_quiver())
-    for t in seed.quiver.mutable_ids():
-        made = mutate_seed(seed, t)
-        cls = seed.quiver.classify_vertex(t)
-        quiver = seed.quiver.mutate(t, cls)
-        key, order = quiver.shape()
-        given = mutate_seed(seed, t, cls, child=(Shape(key, quiver, order), order))
-        assert given.quiver.to_json() == made.quiver.to_json()
-        assert given.values == made.values
-        # the child's shape and order are used as they are, not rebuilt
-        again = mutate_seed(seed, t, cls, child=(given.shape, given.order))
-        assert again.shape is given.shape and again.order is given.order
+def test_mutate_seed_memo_serves_a_relabelled_copy(monkeypatch):
+    seed = initial_seed(annulus_crosscap().build_quiver())
+    ids = seed.quiver.mutable_ids()
+    copy = relabelled(seed, dict(zip(ids, reversed(ids))))
+    classifications = counting(monkeypatch, PartitionedQuiver, "classify_vertex")
+    memo = {}
+    children = [(s, t, mutate_seed(s, t, memo=memo))
+                for s in (seed, copy) for t in ids]
+    # the copy has the seed's shape key, so its calls hit the seed's row
+    assert classifications[0] == len(ids)
+    for s, t, child in children:
+        plain = mutate_seed(s, t)
+        assert child.quiver.shape() == plain.quiver.shape()
+        assert child.values == plain.values
+
+
+@pytest.mark.parametrize("memo", [None, {}], ids=["plain", "memo"])
+def test_mutate_seed_errors_name_the_seeds_vertex(memo):
+    seed = initial_seed(annulus_crosscap().build_quiver())
+    f1, f2 = seed.quiver.frozen_ids()
+    # the frozen vertices swapped: the same shape key, another vertex order
+    copy = relabelled(seed, {**{v: v for v in seed.values}, f1: f2, f2: f1})
+    assert copy.shape.key == seed.shape.key and copy.order != seed.order
+    mutate_seed(seed, seed.quiver.mutable_ids()[0], memo=memo)
+    with pytest.raises(KeyError):
+        mutate_seed(copy, 999, memo=memo)
+    with pytest.raises(Unclassifiable, match=f"^vertex {f1} is frozen$"):
+        mutate_seed(copy, f1, memo=memo)
 
 
 def test_depth_limit():

@@ -1,5 +1,6 @@
 """The traced benchmark run wraps engine functions by name (bench/spans.py
-LAYERS); every name it lists must stay where the tracer looks for it."""
+LAYERS); every name it lists must stay where the tracer looks for it, and
+the calls it counts must keep their meaning."""
 import importlib
 import importlib.util
 import inspect
@@ -7,14 +8,20 @@ import pathlib
 
 import pytest
 
+import quasicluster
+
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def layers():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def layers():
+    return load_spans().LAYERS
 
 
 @pytest.mark.parametrize("module_name, owner, attr, span", layers())
@@ -26,3 +33,33 @@ def test_traced_name_exists(module_name, owner, attr, span):
     else:
         fn = module.__dict__.get(attr)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_tracer_counts_one_exploration():
+    # the per-layer benchmark charges each mutation to mutate_seed and each
+    # computed relation to exchange_value, wherever explore does its work
+    spans = load_spans()
+    seed = quasicluster.algebra.initial_seed(
+        quasicluster.surface.named_fixture("mobius:3").build_quiver(),
+        coeff_free=True)
+
+    def traced_attributes():
+        out = []
+        for module_name, owner, attr, _ in spans.LAYERS:
+            module = getattr(quasicluster, module_name)
+            out.append(getattr(module, owner).__dict__[attr] if owner
+                       else getattr(module, attr))
+        return out
+
+    originals = traced_attributes()
+    tracer = spans.Tracer(quasicluster)
+    tracer.install()
+    try:
+        graph = quasicluster.algebra.explore(seed)
+    finally:
+        tracer.uninstall()
+    calls = {name: n for name, (n, _) in tracer.summary().items()}
+    assert calls["algebra.mutate_seed"] == graph.edge_count() == 33
+    assert calls["algebra.exchange_value"] == len(tracer.exchange_keys) == 27
+    assert calls["pquiver.classify_vertex"] == calls["pquiver.mutate"] == 33
+    assert traced_attributes() == originals

@@ -10,7 +10,7 @@ from quasicluster.cli import main
 from quasicluster.laurent import EXPONENT_LIMIT, LaurentForm, Polynomial
 from quasicluster.pquiver import PartitionedQuiver
 from quasicluster.surface import (QuasiTriangulation, annulus_crosscap,
-                                  mobius_fan)
+                                  mobius_fan, named_fixture)
 
 
 def run(capsys, *argv):
@@ -153,6 +153,32 @@ def test_verify_good_quiver_involution(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--in", str(good))
     assert code == 0
     assert "0 failures" in out
+
+
+def test_verify_in_on_disjoint_copies_needs_no_canonical_form(tmp_path, capsys,
+                                                              monkeypatch):
+    # on k disjoint copies of one quiver canonical_form branches over k!
+    # orders of the tied copies; the involution check compares labelled
+    # quivers, in linear time
+    one = named_fixture("polygon:5").build_quiver().to_json()
+    n, m = len(one["vertices"]), len(one["arrows"])
+    data = {"vertices": [], "arrows": [], "partition": []}
+    for c in range(8):
+        data["vertices"] += [{**v, "id": v["id"] + c * n} for v in one["vertices"]]
+        data["arrows"] += [{"id": a["id"] + c * m, "src": a["src"] + c * n,
+                            "tgt": a["tgt"] + c * n} for a in one["arrows"]]
+        data["partition"] += [[a + c * m for a in p] for p in one["partition"]]
+    path = tmp_path / "copies.json"
+    path.write_text(json.dumps(data))
+
+    def not_called(self):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(PartitionedQuiver, "canonical_form", not_called)
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 0 and "0 failures over 16 vertices" in out
+    assert time.perf_counter() - t0 < 5
 
 
 def test_invalid_input_exit_code(tmp_path, capsys):
