@@ -150,18 +150,24 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
     seed's shape is classified and mutated at the vertex labelled like t,
     and the classification renamed to the seed's vertices equals
     ``seed.quiver.classify_vertex(t)``, arrow ids included.  ``memo`` is a
-    dict shared by repeated calls (a fresh one without it): shape key ->
-    ``Shape``, each shape's row of ``_transition`` results by label, and
-    E / x_t by V-type, inputs and old value.  With ``cls``, a classification
-    the caller has made, the seed's own quiver is mutated instead.
+    dict shared by repeated calls: shape key -> ``Shape``, each shape's row
+    of ``_transition`` results by label, and E / x_t by V-type, inputs and
+    old value.  Children of one shape key share one ``Shape``, so a memo'd
+    child equals ``seed.quiver.mutate(t)`` up to arrow ids.  Without
+    ``memo`` the call takes the same path with a fresh one that never holds
+    the seed's shape or a relation, and the child is that mutation to the
+    byte.  With ``cls``, a classification the caller has made, the seed's
+    own quiver is mutated instead.
     """
-    if memo is None:
+    plain = memo is None
+    if plain:
         memo = {}
     if cls is None:
         shape, order = seed.shape, seed.order
         row = memo.get(shape)
         if row is None:   # a shape not met yet, or a copy of one met
-            shape = memo.setdefault(shape.key, shape)
+            if not plain:   # else the child would take the seed's arrow ids
+                shape = memo.setdefault(shape.key, shape)
             row = memo.setdefault(shape, [None] * len(order))
         try:
             i = order.index(t)
@@ -178,7 +184,7 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
             corder = child.order   # then the child's classifications need no renaming
     else:
         child, corder = seed.quiver.mutate(t, cls), ()
-    key = _relation_key(seed, cls)
+    key = None if plain else _relation_key(seed, cls)
     new_value = memo.get(key)
     if new_value is None:
         ex = exchange_value(seed, cls)

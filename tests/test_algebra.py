@@ -230,9 +230,13 @@ def test_mutate_seed_with_relations_memo():
                 fresh = mutate_seed(s, t)
                 memo = mutate_seed(s, t, memo=relations)
                 assert memo.values == fresh.values
-                # the memo shares child shapes by key, and a shape's
-                # representative fixes the arrow ids
+                assert fresh.quiver.to_json() == s.quiver.mutate(t).to_json()
+                # the memo holds one Shape per key, whose representative
+                # fixes the arrow ids: equal quivers up to arrow ids
                 assert memo.quiver.shape() == fresh.quiver.shape()
+                # a plain call on a seed named unlike its representative
+                back = memo.quiver.mutate(t).to_json()
+                assert mutate_seed(memo, t).quiver.to_json() == back
         assert relations
 
 
@@ -608,6 +612,7 @@ def test_mutate_seed_memo_serves_a_relabelled_copy(monkeypatch):
     assert classifications[0] == len(ids)
     for s, t, child in children:
         plain = mutate_seed(s, t)
+        assert plain.quiver.to_json() == s.quiver.mutate(t).to_json()
         assert child.quiver.shape() == plain.quiver.shape()
         assert child.values == plain.values
 
