@@ -17,7 +17,7 @@ from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
 
 
 class Shape:
-    """A quiver up to vertex names, its paths in partition order: the key of
+    """A quiver up to vertex names and path order: the key of
     ``PartitionedQuiver.shape``, one representative quiver with that key and
     the representative's vertex ids in label order.  Never edited; equal
     only to itself."""
@@ -35,8 +35,9 @@ class Seed:
 
     The quiver is held as a shape and this seed's vertex ids in label order:
     it is the shape's representative with the vertex labelled i renamed
-    ``order[i]``, rebuilt on each access of ``quiver``.  ``Seed(quiver,
-    context, values, frozen)`` makes the given quiver its own representative.
+    ``order[i]``, rebuilt on each access of ``quiver``, so seeds of one
+    cluster agree up to arrow ids and path order.  ``Seed(quiver, context,
+    values, frozen)`` makes the given quiver its own representative.
     """
 
     shape: Shape   # a PartitionedQuiver when constructed from a quiver
@@ -80,12 +81,8 @@ def initial_seed(quiver: PartitionedQuiver, coeff_free: bool = False,
     ctx = Context(len(mutables), len(frozens))
     cls = LaurentForm if tracking == "exact" else DenominatorVector
     values = {v: cls.variable(i, ctx.nvars) for i, v in enumerate(mutables)}
-    if coeff_free:
-        one = cls.one(ctx.nvars)
-        frozen = {v: one for v in frozens}
-    else:
-        frozen = {v: cls.variable(ctx.n_cluster + i, ctx.nvars)
-                  for i, v in enumerate(frozens)}
+    frozen = dict.fromkeys(frozens, cls.one(ctx.nvars)) if coeff_free else \
+        {v: cls.variable(ctx.n_cluster + i, ctx.nvars) for i, v in enumerate(frozens)}
     return Seed(quiver, ctx, values, frozen)
 
 
@@ -113,8 +110,7 @@ def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
         names.update((v, f"y{i + 1}") for i, v in enumerate(seed.quiver.frozen_ids()))
         nm = names.__getitem__
     else:
-        def nm(v):
-            return f"x{v}"
+        nm = "x{}".format
 
     if cls.type == V1:
         (a, b), (c, d) = cls.product_pairs
@@ -128,18 +124,20 @@ def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
 
 
 def _relation_key(seed: Seed, cls: VertexClassification) -> tuple:
-    """What E / x_t depends on: the V-type, the serialized inputs in the order
-    ``exchange_value`` reads them, and the serialized old value at t."""
+    """What E / x_t depends on, up to the symmetries of E: the V-type, the
+    serialized inputs (V1: each product's two sorted, then the products
+    sorted; V3: i and k sorted, then j) and the serialized old value at t."""
+    val = seed.value_of
     if cls.type == V1:
-        (a, b), (c, d) = cls.product_pairs
-        inputs = (a, b, c, d)
+        (a, b), (c, d) = [sorted([val(u).canonical_serialize(), val(v).canonical_serialize()])
+                          for u, v in cls.product_pairs]
+        inputs = (a, b, c, d) if (a, b) <= (c, d) else (c, d, a, b)
     elif cls.type in (V2, V4):
-        inputs = (cls.i,)
+        inputs = val(cls.i).canonical_serialize()
     else:
-        inputs = (cls.i, cls.j, cls.k)
-    return (cls.type,
-            tuple(seed.value_of(v).canonical_serialize() for v in inputs),
-            seed.values[cls.t].canonical_serialize())
+        i, k = sorted([val(cls.i).canonical_serialize(), val(cls.k).canonical_serialize()])
+        inputs = (i, k, val(cls.j).canonical_serialize())
+    return cls.type, inputs, seed.values[cls.t].canonical_serialize()
 
 
 def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
@@ -153,11 +151,12 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
     dict shared by repeated calls: shape key -> ``Shape``, each shape's row
     of ``_transition`` results by label, and E / x_t by V-type, inputs and
     old value.  Children of one shape key share one ``Shape``, so a memo'd
-    child equals ``seed.quiver.mutate(t)`` up to arrow ids.  Without
-    ``memo`` the call takes the same path with a fresh one that never holds
-    the seed's shape or a relation, and the child is that mutation to the
-    byte.  With ``cls``, a classification the caller has made, the seed's
-    own quiver is mutated instead.
+    child equals ``seed.quiver.mutate(t)`` up to arrow ids and path order,
+    and relations that differ only by the symmetries of E share one entry.
+    Without ``memo`` the call takes the same path with a fresh one that
+    never holds the seed's shape or a relation, and the child is that
+    mutation to the byte.  With ``cls``, a classification the caller has
+    made, the seed's own quiver is mutated instead.
     """
     plain = memo is None
     if plain:
@@ -279,9 +278,7 @@ class ExchangeGraph:
         edges = sorted(
             {(min(index[k], index[ck]), max(index[k], index[ck]), t)
              for k, nbrs in self.adjacency.items() for t, ck in nbrs.items()})
-        ctx = None
-        if keys:
-            ctx = self.nodes[keys[0]].context
+        ctx = self.nodes[keys[0]].context if keys else None
         return {
             "nodes": [
                 {
@@ -323,11 +320,10 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
 
     Returns None when a value repeats in the cluster, since no one-to-one map
     exists then.  Raises SeedMismatch unless the two quivers agree under the
-    map, frozen vertices mapping to themselves: the same (id, frozen, kind)
-    for every vertex and the same path itineraries in partition order
-    (mutation never reorders the partition).  That is an equal shape key and
-    the map taking the child's vertex order to the stored one, vertices on
-    no path aside: those are in id order, which the map can permute.
+    map, frozen vertices mapping to themselves, up to arrow ids and path
+    order: the same (id, frozen, kind) for every vertex and the same
+    multiset of path itineraries.  An equal shape key with the map taking
+    the child's vertex order to the stored one shows that at once.
     """
     at = {lf.canonical_serialize(): v for v, lf in stored.values.items()}
     if len(at) != len(stored.values):
@@ -338,8 +334,10 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     if (a is b or a.key == b.key) and \
             all(get(v, v) == u for v, u in zip(child.order, stored.order)):
         return rename
-    # vertices on no path are in id order, which the map can permute
-    if child.quiver.renamed(rename).shape() != (b.key, stored.order):
+    # two labellings of one key differ by an automorphism: compare quivers
+    mine, theirs = child.quiver.renamed(rename), stored.quiver
+    if (mine.vertices, sorted(mine.itineraries())) != \
+            (theirs.vertices, sorted(theirs.itineraries())):
         raise SeedMismatch("two seeds of one cluster carry different quivers "
                            "under the map that matches their values")
     return rename

@@ -109,9 +109,82 @@ def _json_kind(value) -> str:
     return value
 
 
-def _code(v: Vertex) -> int:
-    """A vertex's (frozen, kind) as a negative int, below every label."""
-    return -1 - 2 * v.frozen - (v.kind == QUASI)
+def _first_appearance(paths, code, label: dict) -> tuple[tuple, dict[int, int]]:
+    """``paths`` in the given order, each led by its length, a vertex written
+    as ``code[v]`` where it first appears and as its label (the number of
+    vertices labelled before it) after that; and ``label``, which this adds
+    the new vertices to."""
+    key = []
+    for path in paths:
+        key.append(len(path))
+        for v in path:
+            key.append(label[v] if v in label else code[v])
+            label.setdefault(v, len(label))
+    return tuple(key), label
+
+
+def _ranks(colours: list) -> list[int]:
+    """Each colour replaced by its rank among the distinct colours."""
+    rank = {c: r for r, c in enumerate(sorted(set(colours)))}
+    return [rank[c] for c in colours]
+
+
+_SEARCH_NODES = 64   # per component: bounds the branching on symmetric paths
+
+
+def _canonical(paths, alone, code) -> list[tuple[tuple, dict]]:
+    """Each component of the path-sharing graph as its least
+    ``_first_appearance`` code and its labels over the path orders that
+    colour refinement leaves (McKay & Piperno, "Practical graph isomorphism,
+    II", 2014), sorted.  A path's colour starts as its codes ``alone``, a
+    vertex's adds the (path colour, position) of its occurrences, a path's
+    the colours along it, until no class splits; then each path of the
+    first tied class is marked by its depth in turn.  Past ``_SEARCH_NODES``
+    nodes, ties go by path index: copies may then get other keys."""
+    index: dict[int, int] = {}
+    at = [[index.setdefault(v, len(index)) for v in path] for path in paths]
+    occurs: list[list] = [[] for _ in index]
+    for i, path in enumerate(at):
+        for pos, j in enumerate(path):
+            occurs[j].append((i, pos))
+    seen, parts = set(), []
+    for first in range(len(paths)):   # the components, breadth first
+        if first not in seen:
+            parts.append([first])
+            seen.add(first)
+            for i in parts[-1]:
+                new = {p for j in at[i] for p, _ in occurs[j]} - seen
+                seen |= new
+                parts[-1] += new
+    if len(parts) > 1:
+        return sorted((c for part in map(sorted, parts) for c in _canonical(
+            [paths[i] for i in part], [alone[i] for i in part], code)),
+            key=lambda c: c[0])
+    n, start, best, nodes = len(paths), [code[v] for v in index], [], [0]
+
+    def search(marks: dict[int, int]):
+        nodes[0] += 1
+        pc = _ranks([(marks.get(i, 0), a) for i, a in enumerate(alone)])
+        vc, classes = start, len(set(pc))
+        while classes < n:
+            vc = _ranks([(c, tuple(sorted([(pc[i], pos) for i, pos in occ])))
+                         for c, occ in zip(vc, occurs)])
+            pc = _ranks([(c, tuple([vc[j] for j in p])) for c, p in zip(pc, at)])
+            if len(set(pc)) == classes:
+                break
+            classes = len(set(pc))
+        order = sorted(range(n), key=pc.__getitem__)
+        tied = [pc[i] for i, j in zip(order, order[1:]) if pc[i] == pc[j]]
+        if tied and nodes[0] <= _SEARCH_NODES:
+            for i in order:
+                if pc[i] == tied[0] and nodes[0] <= _SEARCH_NODES:
+                    search({**marks, i: len(marks) + 1})
+        else:
+            leaf = _first_appearance([paths[i] for i in order], code, {})
+            if not best or leaf[0] < best[0]:
+                best[:] = leaf
+    search({})
+    return [(best[0], best[1])]
 
 
 class PartitionedQuiver:
@@ -144,32 +217,37 @@ class PartitionedQuiver:
                 for p in self.partition]
 
     def shape(self) -> tuple[tuple, tuple[int, ...]]:
-        """``(key, order)``: this quiver up to vertex names, its paths in
-        partition order, and its vertex ids in label order.
+        """``(key, order)``: this quiver up to vertex names and path order
+        (paths keep their direction), and its vertex ids in label order.
 
-        Vertices are labelled by first appearance along the paths, then the
-        vertices on no path by (frozen, kind, id).  The key is the vertex
-        count, each itinerary led by its length (a vertex written as its
-        ``_code`` at its first appearance, as its label after that), then the
-        codes of the vertices on no path.  Equal keys and orders mean the
-        same vertices (id, frozen, kind) and itineraries: the two quivers
-        differ in arrow ids only."""
+        The key is the vertex count, the number of empty paths, the
+        ``_first_appearance`` code of the paths ordered by their vertex
+        codes, then by the labels of the paths with unique codes (by
+        ``_canonical`` if ties are left), and the codes of the vertices on
+        no path, last in (frozen, kind, id) order.  Equal keys mean that
+        renaming by ``zip(order, other_order)`` gives the other quiver up to
+        arrow ids and path order."""
         vertices = self.vertices
-        label: dict[int, int] = {}
-        key = [len(vertices)]
-        for path in self.itineraries():
-            key.append(len(path))
-            for v in path:
-                if v in label:
-                    key.append(label[v])
-                else:
-                    label[v] = len(label)
-                    key.append(_code(vertices[v]))
-        for v in sorted((v for v in vertices.values() if v.id not in label),
-                        key=lambda v: (v.frozen, v.kind, v.id)):
-            label[v.id] = len(label)
-            key.append(_code(v))
-        return tuple(key), tuple(label)
+        # each vertex's (frozen, kind) as a negative int, below every label
+        code = {v: -1 - 2 * x.frozen - (x.kind == QUASI) for v, x in vertices.items()}
+        paths = [p for p in self.itineraries() if p]
+        alone = [tuple(map(code.__getitem__, p)) for p in paths]
+        ties = Counter(alone)
+        first = sorted((a, i) for i, a in enumerate(alone) if ties[a] == 1)
+        coded, label = _first_appearance([paths[i] for _, i in first], code, {})
+        then = sorted(((a, tuple([label.get(v, -1) for v in paths[i]])), i)
+                      for i, a in enumerate(alone) if ties[a] > 1)
+        if len({r for r, _ in then}) == len(then):
+            coded += _first_appearance([paths[i] for _, i in then], code, label)[0]
+        else:
+            parts = _canonical(paths, alone, code)
+            coded = tuple(k for k, _ in parts)
+            label = dict.fromkeys(v for _, lab in parts for v in lab)
+        rest = sorted((v for v in vertices.values() if v.id not in label),
+                      key=lambda v: (v.frozen, v.kind, v.id))
+        key = (len(vertices), len(self.partition) - len(paths), coded,
+               *[code[v.id] for v in rest])
+        return key, (*label, *[v.id for v in rest])
 
     def renamed(self, names: dict[int, int]) -> "PartitionedQuiver":
         """This quiver with each vertex id v renamed ``names.get(v, v)``;

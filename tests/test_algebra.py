@@ -178,19 +178,25 @@ def test_each_mutation_classifies_once(monkeypatch):
     # a cluster knows its neighbour at the vertex that created it, and at
     # the vertex whose value matches a later rediscovery of it
     assert mutations[0] == g.edge_count() == 33
-    assert classifications[0] == mutations[0]
+    # a mutation classifies at most once, and clusters whose quivers agree
+    # up to vertex names and path order share their classifications
+    shapes = {s.shape.key for s in g.nodes.values()}
+    assert classifications[0] <= 3 * len(shapes) < mutations[0]
 
 
 def relation_key(seed, cls):
-    """V-type, input serializations and old value of one exchange relation."""
+    """V-type, input serializations and old value of one exchange relation,
+    up to the symmetries of E: each V1 product and the two products are
+    unordered, and so are the outer neighbours i, k of V3."""
+    def ser(v):
+        return seed.value_of(v).canonical_serialize()
     if cls.type == "V1":
-        inputs = [v for pair in cls.product_pairs for v in pair]
+        inputs = sorted(sorted(map(ser, pair)) for pair in cls.product_pairs)
     elif cls.type in ("V2", "V4"):
-        inputs = [cls.i]
+        inputs = [ser(cls.i)]
     else:
-        inputs = [cls.i, cls.j, cls.k]
-    return (cls.type, tuple(seed.value_of(v).canonical_serialize() for v in inputs),
-            seed.values[cls.t].canonical_serialize())
+        inputs = [*sorted([ser(cls.i), ser(cls.k)]), ser(cls.j)]
+    return cls.type, repr(inputs), seed.values[cls.t].canonical_serialize()
 
 
 @pytest.mark.parametrize("coeff_free", [True, False])
@@ -232,8 +238,8 @@ def test_mutate_seed_with_relations_memo():
                 assert memo.values == fresh.values
                 assert fresh.quiver.to_json() == s.quiver.mutate(t).to_json()
                 # the memo holds one Shape per key, whose representative
-                # fixes the arrow ids: equal quivers up to arrow ids
-                assert memo.quiver.shape() == fresh.quiver.shape()
+                # fixes the arrow ids and path order
+                assert quiver_shape(memo.quiver) == quiver_shape(fresh.quiver)
                 # a plain call on a seed named unlike its representative
                 back = memo.quiver.mutate(t).to_json()
                 assert mutate_seed(memo, t).quiver.to_json() == back
@@ -250,9 +256,10 @@ def explored(fixture, max_nodes=100000, **seed_kwargs):
 
 
 def quiver_shape(q):
-    """Vertex kinds and path itineraries: the quiver up to arrow ids."""
-    paths = tuple((q.arrows[p[0]].src,) + tuple(q.arrows[a].tgt for a in p)
-                  for p in q.partition)
+    """Vertex kinds and the sorted path itineraries: the quiver up to arrow
+    ids and path order."""
+    paths = tuple(sorted((q.arrows[p[0]].src,) + tuple(q.arrows[a].tgt for a in p)
+                         for p in q.partition))
     kinds = tuple(sorted((v.id, v.frozen, v.kind) for v in q.vertices.values()))
     return kinds, paths
 
@@ -317,13 +324,18 @@ def test_match_seeds_maps_by_value_and_checks_the_quiver():
     # no one-to-one value map when a value repeats: nothing is matched
     ones = all_ones_seed(stored.quiver)
     assert match_seeds(ones, ones) is None
+    # a stored quiver whose paths come in another order is the same seed
+    data = stored.quiver.to_json()
+    data["partition"].reverse()
+    other = Seed(PartitionedQuiver.from_json(data), stored.context,
+                 stored.values, stored.frozen)
+    assert match_seeds(stored, other) == {1: 1, 2: 2, 3: 3}
     # a stored quiver that differs from the child's in one vertex's kind, in
-    # one path, in its frozen set or in the order of its paths is another seed
+    # one path or in its frozen set is another seed
     for edit in (lambda d: d["vertices"][2].update(kind="quasi"),
                  lambda d: (d["arrows"][6].update(tgt=1),
                             d["arrows"][7].update(src=1)),
-                 lambda d: d["vertices"][3].update(frozen=False),
-                 lambda d: d["partition"].reverse()):
+                 lambda d: d["vertices"][3].update(frozen=False)):
         data = stored.quiver.to_json()
         edit(data)
         other = Seed(PartitionedQuiver.from_json(data), stored.context,
@@ -353,15 +365,15 @@ def test_signature_sees_through_relabelling():
 def reference_signature(quiver, rename=None):
     """The seed guard's quiver comparison before shapes, kept as a
     reference: the vertex count and every vertex's (id, frozen, kind) in id
-    order, then each path's vertex itinerary in partition order led by its
-    length, each vertex id passed through ``rename``."""
+    order, then each path's vertex itinerary led by its length, the paths
+    sorted, each vertex id passed through ``rename``."""
     get = (rename or {}).get
     triples = sorted((get(v.id, v.id), v.frozen, v.kind)
                      for v in quiver.vertices.values())
     sig = [len(triples), *chain.from_iterable(triples)]
-    for p in quiver.itineraries():
+    for p in sorted([get(v, v) for v in p] for p in quiver.itineraries()):
         sig.append(len(p))
-        sig += map(get, p, p) if rename else p
+        sig += p
     return tuple(sig)
 
 
@@ -550,7 +562,11 @@ def test_explore_shares_quivers_and_transitions_per_call(monkeypatch):
         assert len({id(s.shape) for s in g.nodes.values()}) == len(keys)
         assert len(keys) < g.node_count()
         for s in g.nodes.values():
-            assert s.quiver.shape() == (s.shape.key, s.order)
+            key, order = s.quiver.shape()
+            assert key == s.shape.key
+            # two labellings of one key differ by an automorphism
+            same = s.quiver.renamed(dict(zip(order, s.order)))
+            assert quiver_shape(same) == quiver_shape(s.quiver)
     # the transition table lives for one call
     assert counts[0] == counts[1]
 
@@ -572,7 +588,7 @@ def test_explore_gives_each_seed_its_own_classification_and_child(
     def checked(seed, t, *args, **kwargs):
         calls[0] += 1
         made = original(seed, t, *args, **kwargs)
-        assert made.quiver.shape() == seed.quiver.mutate(t).shape()
+        assert quiver_shape(made.quiver) == quiver_shape(seed.quiver.mutate(t))
         return made
 
     monkeypatch.setattr(algebra, "_relation_key", checked_key)
@@ -613,7 +629,7 @@ def test_mutate_seed_memo_serves_a_relabelled_copy(monkeypatch):
     for s, t, child in children:
         plain = mutate_seed(s, t)
         assert plain.quiver.to_json() == s.quiver.mutate(t).to_json()
-        assert child.quiver.shape() == plain.quiver.shape()
+        assert quiver_shape(child.quiver) == quiver_shape(plain.quiver)
         assert child.values == plain.values
 
 

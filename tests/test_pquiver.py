@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import permutations
 
 import pytest
 
@@ -285,3 +287,165 @@ def test_classify_vertex_makes_one_pass_over_the_arrows():
             types.add(q.classify_vertex(t).type)
             assert q.arrows.passes == 1, (name, t)
     assert types == {"V1", "V2", "V3", "V4"}
+
+
+def first_appearance_key(q, paths):
+    """The key ``shape()`` gave before it ignored path order: the vertex
+    count, each path's itinerary in the given order led by its length (a
+    vertex as a negative code of its (frozen, kind) where it first appears,
+    as its label after that), then the (frozen, kind) of the vertices on no
+    path, sorted."""
+    label, key = {}, [len(q.vertices)]
+    for path in paths:
+        key.append(len(path))
+        for v in path:
+            if v not in label:
+                label[v] = len(label)
+                key.append(-1 - 2 * q.vertices[v].frozen - (q.vertices[v].kind == QUASI))
+            else:
+                key.append(label[v])
+    rest = sorted((v.frozen, v.kind) for v in q.vertices.values() if v.id not in label)
+    return tuple(key), tuple(rest)
+
+
+def brute_force_key(q):
+    """The least ``first_appearance_key`` over every order of the paths."""
+    return min(first_appearance_key(q, paths) for paths in permutations(q.itineraries()))
+
+
+def disjoint_union(*quivers):
+    """The quivers side by side, each one's vertex and arrow ids shifted
+    past the previous ones'."""
+    vertices, arrows, partition, shift = [], [], [], 0
+    for q in quivers:
+        vertices += [Vertex(v.id + shift, v.frozen, v.kind) for v in q.vertices.values()]
+        arrows += [Arrow(a.id + shift, a.src + shift, a.tgt + shift)
+                   for a in q.arrows.values()]
+        partition += [[a + shift for a in p] for p in q.partition]
+        shift += max([*q.vertices, *q.arrows]) + 1
+    return PartitionedQuiver(vertices, arrows, partition)
+
+
+def from_itineraries(itineraries, frozen=(1, 2)):
+    """The quiver with these path itineraries, each arrow a fresh id; the
+    vertices in ``frozen`` are frozen, the others mutable and ordinary."""
+    ids = sorted({v for seq in itineraries for v in seq})
+    vertices = [Vertex(v, frozen=v in frozen) for v in ids]
+    arrows, partition = [], []
+    for seq in itineraries:
+        partition.append([])
+        for a, b in zip(seq, seq[1:]):
+            arrows.append(Arrow(len(arrows) + 1, a, b))
+            partition[-1].append(len(arrows))
+    return PartitionedQuiver(vertices, arrows, partition)
+
+
+def twin_paths(k, extra=()):
+    """k paths 1 -> m -> 2 through the frozen vertices 1 and 2, then the
+    paths of ``extra``."""
+    return from_itineraries([[1, m, 2] for m in range(3, 3 + k)] + list(extra))
+
+
+def cycle_paths(cycles):
+    """One path 1 -> m -> n -> 2 for each step m -> n of the given cycles of
+    mutable vertices: colour refinement ties every path and every mutable
+    vertex, and only branching tells the cycles apart."""
+    return from_itineraries([[1, m, c[(i + 1) % len(c)], 2]
+                             for c in cycles for i, m in enumerate(c)])
+
+
+def shuffled_copy(q, rng):
+    """``q`` with its vertex ids renamed at random and its paths shuffled."""
+    ids = list(q.vertices)
+    copy = permuted(q, dict(zip(ids, rng.sample(range(1000, 1000 + len(ids)), len(ids)))),
+                    seed=rng.random())
+    rng.shuffle(copy.partition)
+    return copy
+
+
+def same_up_to_path_order(a, b):
+    return a.vertices == b.vertices and sorted(a.itineraries()) == sorted(b.itineraries())
+
+
+def oracle_quivers():
+    """Quivers along random walks from the nine fixtures, disjoint unions of
+    small ones, and twin paths that only branching tells apart."""
+    rng = random.Random(20406)
+    out = []
+    for name in ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
+                 "polygon:6", "annulus-crosscap", "mobius-three-arc",
+                 "three-boundary"]:
+        for _ in range(3):
+            q = named_fixture(name).build_quiver()
+            for _ in range(25):
+                out.append(q)
+                q = q.mutate(rng.choice(q.mutable_ids()))
+    small = [q for q in out if len(q.partition) <= 2]
+    for _ in range(40):
+        out.append(disjoint_union(*rng.sample(small, rng.choice((2, 3)))))
+    out += [twin_paths(k) for k in range(2, 7)]
+    out += [twin_paths(3, [[2, 3, 1]]), twin_paths(3, [[2, 4, 1]]), twin_paths(4, [[2, 1]])]
+    out += [cycle_paths(c) for c in ([[3, 4], [5, 6, 7, 8]], [[3, 4, 5], [6, 7, 8]],
+                                     [[3, 4, 5, 6, 7, 8]], [[3, 4], [5, 6], [7, 8]],
+                                     [[3], [4, 5, 6, 7, 8]], [[3, 4], [5, 6, 7]])]
+    return out
+
+
+def test_shape_key_matches_brute_force_over_path_orders():
+    # two quivers get one key exactly when their least first-appearance key
+    # over all path orders agrees, a renamed copy with shuffled paths gets
+    # the key of its original, and the labels of two quivers with one key
+    # rename one onto the other up to path order
+    rng = random.Random(7)
+    quivers = oracle_quivers()
+    assert max(len(q.partition) for q in quivers) <= 6
+    shapes = [q.shape() for q in quivers]
+    keys = [key for key, _ in shapes]
+    brute = [brute_force_key(q) for q in quivers]
+    assert len(set(keys)) == len(set(brute)) == len(set(zip(keys, brute)))
+    assert len(set(keys)) < len(quivers)
+    first = {}
+    for q, (key, order) in zip(quivers, shapes):
+        copy = shuffled_copy(q, rng)
+        copy_key, copy_order = copy.shape()
+        assert copy_key == key
+        assert same_up_to_path_order(q.renamed(dict(zip(order, copy_order))), copy)
+        a, a_order = first.setdefault(key, (q, order))
+        assert same_up_to_path_order(a.renamed(dict(zip(a_order, order))), q)
+
+
+def test_shape_keeps_path_direction_and_vertex_kinds():
+    q = seven_arc_quiver()
+    key = q.shape()[0]
+    reversed_path = q.copy()
+    reversed_path.partition[0].reverse()
+    for aid in reversed_path.partition[0]:
+        a = reversed_path.arrows[aid]
+        reversed_path.arrows[aid] = Arrow(a.id, a.tgt, a.src)
+    assert reversed_path.shape()[0] != key
+    quasi = q.copy()
+    quasi.vertices[4] = Vertex(4, kind=QUASI)
+    assert quasi.shape()[0] != key
+    lonely = q.copy()
+    lonely.vertices[99] = Vertex(99)
+    assert lonely.shape()[0] != key and lonely.shape()[1][-1] == 99
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mobius_fan(1000).build_quiver(),
+    lambda: disjoint_union(*[polygon_fan(5).build_quiver()] * 8),
+    lambda: twin_paths(200),
+], ids=["mobius_fan(1000)", "8 polygon:5", "200 twin paths"])
+def test_shape_takes_bounded_time(make):
+    q = make()
+    start = time.perf_counter()
+    key, order = q.shape()
+    assert time.perf_counter() - start < 1.0
+    # the labels realize the key: renaming the vertices to their labels
+    # gives a quiver with the same key and the labels in order
+    labelled = q.renamed({v: i for i, v in enumerate(order)})
+    assert labelled.shape() == (key, tuple(range(len(order))))
+    copy = shuffled_copy(q, random.Random(len(order)))
+    copy_key, copy_order = copy.shape()
+    if copy_key == key:
+        assert same_up_to_path_order(q.renamed(dict(zip(order, copy_order))), copy)
