@@ -81,8 +81,12 @@ def initial_seed(quiver: PartitionedQuiver, coeff_free: bool = False,
     ctx = Context(len(mutables), len(frozens))
     cls = LaurentForm if tracking == "exact" else DenominatorVector
     values = {v: cls.variable(i, ctx.nvars) for i, v in enumerate(mutables)}
-    frozen = dict.fromkeys(frozens, cls.one(ctx.nvars)) if coeff_free else \
-        {v: cls.variable(ctx.n_cluster + i, ctx.nvars) for i, v in enumerate(frozens)}
+    if coeff_free:
+        one = cls.one(ctx.nvars)
+        frozen = {v: one for v in frozens}
+    else:
+        frozen = {v: cls.variable(ctx.n_cluster + i, ctx.nvars)
+                  for i, v in enumerate(frozens)}
     return Seed(quiver, ctx, values, frozen)
 
 
@@ -110,7 +114,8 @@ def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
         names.update((v, f"y{i + 1}") for i, v in enumerate(seed.quiver.frozen_ids()))
         nm = names.__getitem__
     else:
-        nm = "x{}".format
+        def nm(v):
+            return f"x{v}"
 
     if cls.type == V1:
         (a, b), (c, d) = cls.product_pairs
@@ -155,8 +160,10 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
     and relations that differ only by the symmetries of E share one entry.
     Without ``memo`` the call takes the same path with a fresh one that
     never holds the seed's shape or a relation, and the child is that
-    mutation to the byte.  With ``cls``, a classification the caller has
-    made, the seed's own quiver is mutated instead.
+    mutation to the byte; its shape key is not canonical (``shape(False)``,
+    in linear time), since no other call looks it up.  With ``cls``, a
+    classification the caller has made, the seed's own quiver is mutated
+    instead.
     """
     plain = memo is None
     if plain:
@@ -171,7 +178,7 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
         try:
             i = order.index(t)
             if row[i] is None:
-                row[i] = _transition(shape, i, memo)
+                row[i] = _transition(shape, i, memo, not plain)
         except ValueError:   # t is no vertex, or a ClassificationError
             seed.quiver.classify_vertex(t)   # raise it naming the seed's vertices
             raise
@@ -182,7 +189,9 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
         if corder == child.order:
             corder = child.order   # then the child's classifications need no renaming
     else:
-        child, corder = seed.quiver.mutate(t, cls), ()
+        quiver = seed.quiver.mutate(t, cls)
+        skey, corder = quiver.shape(not plain)
+        child = Shape(skey, quiver, corder)
     key = None if plain else _relation_key(seed, cls)
     new_value = memo.get(key)
     if new_value is None:
@@ -278,7 +287,9 @@ class ExchangeGraph:
         edges = sorted(
             {(min(index[k], index[ck]), max(index[k], index[ck]), t)
              for k, nbrs in self.adjacency.items() for t, ck in nbrs.items()})
-        ctx = self.nodes[keys[0]].context if keys else None
+        ctx = None
+        if keys:
+            ctx = self.nodes[keys[0]].context
         return {
             "nodes": [
                 {
@@ -343,15 +354,16 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     return rename
 
 
-def _transition(shape: Shape, i: int, memo: dict) -> tuple:
+def _transition(shape: Shape, i: int, memo: dict, canonical: bool) -> tuple:
     """Classify and mutate the representative of ``shape`` at its vertex
     labelled i: the classification, the child's shape (interned in
-    ``memo``, key -> shape) and the labels of ``shape`` in the child's
-    vertex order, one byte each where that suffices."""
+    ``memo``, key -> shape, its key canonical or not) and the labels of
+    ``shape`` in the child's vertex order, one byte each where that
+    suffices."""
     rep = shape.quiver
     cls = rep.classify_vertex(shape.order[i])
     quiver = rep.mutate(cls.t, cls)
-    key, order = quiver.shape()
+    key, order = quiver.shape(canonical)
     child = memo.get(key)
     if child is None:
         child = memo[key] = Shape(key, quiver, order)

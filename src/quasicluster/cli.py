@@ -27,15 +27,14 @@ class InputError(ValueError):
 
 
 def _write(text: str, out: str | None):
-    text = text if text.endswith("\n") else text + "\n"
     if out and out != "-":
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _check_writable(out: str | None):
@@ -83,14 +82,18 @@ def _fixture(name: str) -> QuasiTriangulation:
         raise InputError(f"fixture {name!r}: {exc.args[0]}") from exc
 
 
-def _load(path: str, kind):
-    """A quiver or triangulation (``kind``) read by ``_from_json``."""
+def _load_quiver(path: str) -> PartitionedQuiver:
     data = _load_json(path)
-    noun, field = (("quiver", "arrows") if kind is PartitionedQuiver
-                   else ("triangulation", "corners"))
-    if field not in data:
-        raise InputError(f"{path} does not look like a {noun} JSON")
-    return _from_json(kind, data, path)
+    if "arrows" not in data:
+        raise InputError(f"{path} does not look like a quiver JSON")
+    return _from_json(PartitionedQuiver, data, path)
+
+
+def _load_triangulation(path: str) -> QuasiTriangulation:
+    data = _load_json(path)
+    if "corners" not in data:
+        raise InputError(f"{path} does not look like a triangulation JSON")
+    return _from_json(QuasiTriangulation, data, path)
 
 
 def cmd_surface(args) -> int:
@@ -105,13 +108,13 @@ def cmd_surface(args) -> int:
 
 
 def cmd_quiver_build(args) -> int:
-    tri = _load(args.infile, QuasiTriangulation)
+    tri = _load_triangulation(args.infile)
     _write(tri.build_quiver().dumps(), args.out)
     return 0
 
 
 def cmd_mutate(args) -> int:
-    q = _load(args.infile, PartitionedQuiver)
+    q = _load_quiver(args.infile)
     seq = []
     if args.at is not None:
         seq.append(args.at)
@@ -143,7 +146,7 @@ def cmd_explore(args) -> int:
     for out in (args.json_out, args.dot_out):
         _check_writable(out)   # before exploring, so a bad path costs nothing
     if args.infile:
-        tri = _load(args.infile, QuasiTriangulation)
+        tri = _load_triangulation(args.infile)
     elif args.fixture:
         tri = _fixture(args.fixture)
     else:
@@ -158,9 +161,12 @@ def cmd_explore(args) -> int:
     except LimitExceeded as exc:
         graph = exc.graph
         closed = False
-    print(f"runtime: {time.perf_counter() - t0:.3f}s\nclosed: {str(closed).lower()}\n"
-          f"nodes: {graph.node_count()}\nedges: {graph.edge_count()}\n"
-          f"variables: {graph.variable_count()}")
+    dt = time.perf_counter() - t0
+    print(f"runtime: {dt:.3f}s")
+    print(f"closed: {str(closed).lower()}")
+    print(f"nodes: {graph.node_count()}")
+    print(f"edges: {graph.edge_count()}")
+    print(f"variables: {graph.variable_count()}")
     if args.witnesses:
         ctx = seed.context
         for ser in sorted(graph.variables):
@@ -182,15 +188,20 @@ def cmd_export(args) -> int:
         obj = _from_json(QuasiTriangulation, data, args.infile)
     else:
         raise InputError(f"{args.infile}: neither quiver nor triangulation JSON")
-    if args.dot and isinstance(obj, QuasiTriangulation):
-        obj = obj.build_quiver()
-    _write(obj.to_dot() if args.dot else obj.dumps(), args.out)
+    if args.dot:
+        if isinstance(obj, QuasiTriangulation):
+            text = obj.build_quiver().to_dot()
+        else:
+            text = obj.to_dot()
+    else:
+        text = obj.dumps()
+    _write(text, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.infile:
-        q = _load(args.infile, PartitionedQuiver)
+        q = _load_quiver(args.infile)
         seed = initial_seed(q)
         failures = sum(not verify.involution_holds(seed, t)
                        for t in q.mutable_ids())

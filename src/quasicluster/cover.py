@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pquiver import PartitionedQuiver
+from .pquiver import Arrow, PartitionedQuiver, Vertex
 from .surface import (InvalidTriangulation, QuasiTriangulation, Triangle,
                       TRI_ANTI_SELF_FOLDED, TRI_QUASI, TRI_REGULAR,
                       _triangle_matchings)
@@ -56,7 +56,11 @@ class DoubleCover:
 
     def apply_sigma_to_quiver(self, quiver: PartitionedQuiver) -> PartitionedQuiver:
         """Relabel a quiver built on lifted arc ids by the deck involution."""
-        return quiver.renamed(self.sigma_arc)
+        vertices = [Vertex(self.sigma_arc[v.id], v.frozen, v.kind)
+                    for v in quiver.vertices.values()]
+        arrows = [Arrow(a.id, self.sigma_arc[a.src], self.sigma_arc[a.tgt])
+                  for a in quiver.arrows.values()]
+        return PartitionedQuiver(vertices, arrows, quiver.partition)
 
 
 def lift(base: QuasiTriangulation) -> DoubleCover:
@@ -73,17 +77,23 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
     base.require_valid()
     rho = base.arc_transport()
 
-    arc_lift = {k: i + 1 for i, k in enumerate(sorted((a, s) for a in base.arcs
-                                                      for s in (0, 1)))}
-    point_lift = {k: i + 1 for i, k in enumerate(sorted((p, s) for p in base.points
-                                                        for s in (0, 1)))}
+    arc_lift = {}
+    for i, (a, s) in enumerate(sorted((a, s) for a in base.arcs for s in (0, 1))):
+        arc_lift[(a, s)] = i + 1
+    point_lift = {}
+    for i, (p, s) in enumerate(sorted((p, s) for p in base.points for s in (0, 1))):
+        point_lift[(p, s)] = i + 1
 
     def copy_sheet(arc: int, end: int, point_sheet: int) -> int:
         # the arc copy whose given end sits on the given sheet
         return point_sheet ^ (rho[arc] if end == 1 else 0)
 
-    arcs = {new: base.arcs[a] for (a, _), new in arc_lift.items()}
-    points = {new: base.points[p] * 2 + s for (p, s), new in point_lift.items()}
+    arcs = {}
+    for (a, s), new in arc_lift.items():
+        arcs[new] = base.arcs[a]
+    points = {}
+    for (p, s), new in point_lift.items():
+        points[new] = base.points[p] * 2 + s
 
     walks: dict[int, list] = {}
     for (p, s), new in point_lift.items():
@@ -129,5 +139,7 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
             next_tri += 1
 
     lifted = QuasiTriangulation(None, arcs, points, walks, corner_tri, triangles)
-    sigma_arc = {new: arc_lift[(a, 1 - s)] for (a, s), new in arc_lift.items()}
+    sigma_arc = {}
+    for (a, s), new in arc_lift.items():
+        sigma_arc[new] = arc_lift[(a, 1 - s)]
     return DoubleCover(base, lifted, arc_lift, point_lift, sigma_arc)

@@ -513,18 +513,29 @@ class LaurentForm:
             return "0"
 
         def mono(m: Monomial) -> str:
-            return "*".join(ctx.name(i) if e == 1 else f"{ctx.name(i)}^{e}"
-                            for i, e in enumerate(m) if e > 0)
+            parts = []
+            for i, e in enumerate(m):
+                if e == 1:
+                    parts.append(ctx.name(i))
+                elif e > 1:
+                    parts.append(f"{ctx.name(i)}^{e}")
+            return "*".join(parts)
 
-        text = ""
+        pieces = []
         for m, c in self.num.sorted_terms():
             ms = mono(m)
-            term = (ms if abs(c) == 1 else f"{abs(c)}*{ms}") if ms else str(abs(c))
-            if text:
-                text += " - " if c < 0 else " + "
-            elif c < 0:
-                text = "-"
-            text += term
+            if not ms:
+                term = str(abs(c))
+            elif abs(c) == 1:
+                term = ms
+            else:
+                term = f"{abs(c)}*{ms}"
+            sign = "-" if c < 0 else "+"
+            pieces.append((sign, term))
+        first_sign, first = pieces[0]
+        text = ("-" if first_sign == "-" else "") + first
+        for sign, term in pieces[1:]:
+            text += f" {sign} {term}"
         ds = mono(self.den)
         if ds:
             if len(self.num._t) > 1:

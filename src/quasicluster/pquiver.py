@@ -14,7 +14,7 @@ the arrows that take its place.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
 
@@ -123,68 +123,144 @@ def _first_appearance(paths, code, label: dict) -> tuple[tuple, dict[int, int]]:
     return tuple(key), label
 
 
-def _ranks(colours: list) -> list[int]:
-    """Each colour replaced by its rank among the distinct colours."""
-    rank = {c: r for r, c in enumerate(sorted(set(colours)))}
-    return [rank[c] for c in colours]
+_SEARCH_WORK = 10000   # elements refined per component: bounds the branching
 
 
-_SEARCH_NODES = 64   # per component: bounds the branching on symmetric paths
+def _refine(nbrs, elems, where, cell, end, queue, n: int) -> None:
+    """Split the cells of an ordered partition until every two members of a
+    cell sit at the same positions on the members of each cell.  ``elems``
+    lists the elements cell by cell; ``where[x]`` is x's index there,
+    ``cell[x]`` its cell's first index and ``end[c]`` the end of the cell
+    that starts at c; ``nbrs[x]`` holds x's (neighbour, position) pairs.
+    Each cell taken from ``queue`` splits the cells it touches by their
+    members' sorted positions on it, untouched members first.  A split cell
+    queues all its parts if it was queued, else all but the largest, so a
+    long chain of tied paths settles in O(m log n) (Berkholz, Bonsma &
+    Grohe, "Tight lower and upper bounds for the complexity of canonical
+    colour refinement", 2017).  Stops once the first n elements lie in
+    cells of their own."""
+    queued, cells, s = set(queue), 0, 0
+    while s < n:
+        cells, s = cells + 1, end[s]
+    while queue and cells < n:
+        s = queue.popleft()
+        queued.discard(s)
+        sig = defaultdict(list)
+        for x in elems[s:end[s]]:
+            for y, pos in nbrs[x]:
+                sig[y].append(pos)
+        touched = defaultdict(list)
+        for y, positions in sig.items():
+            positions.sort()
+            touched[cell[y]].append(y)
+        for c in sorted(touched):
+            ys, e = touched[c], end[c]
+            ys.sort(key=sig.__getitem__)
+            mid = e - len(ys)   # the untouched members keep [c, mid)
+            starts = [c, mid] if mid > c else [c]
+            starts += [mid + k for k in range(1, len(ys)) if sig[ys[k]] != sig[ys[k - 1]]]
+            if len(starts) == 1:
+                continue
+            inside = set(ys)
+            holes = [where[y] for y in ys if where[y] < mid]
+            for p, q in zip([p for p in range(mid, e) if elems[p] not in inside], holes):
+                elems[q] = elems[p]
+                where[elems[q]] = q
+            for k, y in enumerate(ys, mid):
+                elems[k], where[y] = y, k
+            if c < n:
+                cells += len(starts) - 1
+            for a, b in zip(starts, starts[1:] + [e]):
+                end[a] = b
+            for a in starts[1:]:
+                for y in elems[a:end[a]]:
+                    cell[y] = a
+            if c not in queued:
+                starts.remove(max(starts, key=lambda a: end[a] - a))
+            new = [a for a in starts if a not in queued]
+            queue.extend(new)
+            queued.update(new)
 
 
-def _canonical(paths, alone, code) -> list[tuple[tuple, dict]]:
-    """Each component of the path-sharing graph as its least
-    ``_first_appearance`` code and its labels over the path orders that
-    colour refinement leaves (McKay & Piperno, "Practical graph isomorphism,
-    II", 2014), sorted.  A path's colour starts as its codes ``alone``, a
-    vertex's adds the (path colour, position) of its occurrences, a path's
-    the colours along it, until no class splits; then each path of the
-    first tied class is marked by its depth in turn.  Past ``_SEARCH_NODES``
-    nodes, ties go by path index: copies may then get other keys."""
-    index: dict[int, int] = {}
-    at = [[index.setdefault(v, len(index)) for v in path] for path in paths]
-    occurs: list[list] = [[] for _ in index]
-    for i, path in enumerate(at):
-        for pos, j in enumerate(path):
-            occurs[j].append((i, pos))
-    seen, parts = set(), []
-    for first in range(len(paths)):   # the components, breadth first
+def _canonical(paths, code) -> list[tuple[tuple, dict]]:
+    """The paths in blocks, each block as its least ``_first_appearance``
+    code and its labels, sorted.  Colour refinement (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014) orders the paths: a path
+    starts from its codes, a vertex from its code and the (path colour,
+    position) of its occurrences, a path then takes its vertices' colours.
+    If that round tells every path apart they are one block.  Otherwise
+    each component of the path-sharing graph is a block, refined by
+    ``_refine``, and each path of the first cell left tied is put first in
+    turn.  Past ``_SEARCH_WORK`` elements refined, tied paths keep their
+    order in ``paths``: copies may then get other keys."""
+    occurs: dict[int, list] = defaultdict(list)
+    for i, path in enumerate(paths):
+        for pos, v in enumerate(path):
+            occurs[v].append((i, pos))
+    n, alone = len(paths), [tuple([code[v] for v in p]) for p in paths]
+    rank = {a: r for r, a in enumerate(sorted(set(alone)))}
+    colour = [rank[a] for a in alone]
+    vc = {v: (code[v], tuple(sorted([(colour[i], pos) for i, pos in occ])))
+          for v, occ in occurs.items()}
+    # compared, never hashed: a vertex on many paths is one shared tuple
+    colour = [(c, tuple([vc[v] for v in p])) for c, p in zip(colour, paths)]
+    order = sorted(range(n), key=colour.__getitem__)
+    if all(colour[i] != colour[j] for i, j in zip(order, order[1:])):
+        return [_first_appearance([paths[i] for i in order], code, {})]
+    seen, met, parts = set(), set(), []
+    for first in range(n):   # the components, breadth first
         if first not in seen:
             parts.append([first])
             seen.add(first)
             for i in parts[-1]:
-                new = {p for j in at[i] for p, _ in occurs[j]} - seen
-                seen |= new
-                parts[-1] += new
+                for v in set(paths[i]) - met:   # each vertex's paths read once
+                    met.add(v)
+                    new = {p for p, _ in occurs[v]} - seen
+                    seen |= new
+                    parts[-1] += new
     if len(parts) > 1:
-        return sorted((c for part in map(sorted, parts) for c in _canonical(
-            [paths[i] for i in part], [alone[i] for i in part], code)),
-            key=lambda c: c[0])
-    n, start, best, nodes = len(paths), [code[v] for v in index], [], [0]
+        return sorted((c for part in map(sorted, parts)
+                       for c in _canonical([paths[i] for i in part], code)),
+                      key=lambda c: c[0])
+    # paths are elements 0..n-1, the vertices n.. in order of appearance
+    index = {v: n + k for k, v in enumerate(occurs)}
+    nbrs = [[(index[v], pos) for pos, v in enumerate(p)] for p in paths] + \
+        list(occurs.values())
+    start = [(0, c) for c in colour] + [(1, c) for c in vc.values()]
+    elems = sorted(range(len(start)), key=start.__getitem__)
+    where, cell, end = [0] * len(elems), [0] * len(elems), [0] * len(elems)
+    starts = []
+    for k, x in enumerate(elems):
+        if not k or start[x] != start[elems[k - 1]]:
+            starts.append(k)
+        where[x], cell[x] = k, starts[-1]
+    for a, b in zip(starts, starts[1:] + [len(elems)]):
+        end[a] = b
+    best, work = [], [0]
 
-    def search(marks: dict[int, int]):
-        nodes[0] += 1
-        pc = _ranks([(marks.get(i, 0), a) for i, a in enumerate(alone)])
-        vc, classes = start, len(set(pc))
-        while classes < n:
-            vc = _ranks([(c, tuple(sorted([(pc[i], pos) for i, pos in occ])))
-                         for c, occ in zip(vc, occurs)])
-            pc = _ranks([(c, tuple([vc[j] for j in p])) for c, p in zip(pc, at)])
-            if len(set(pc)) == classes:
-                break
-            classes = len(set(pc))
-        order = sorted(range(n), key=pc.__getitem__)
-        tied = [pc[i] for i, j in zip(order, order[1:]) if pc[i] == pc[j]]
-        if tied and nodes[0] <= _SEARCH_NODES:
-            for i in order:
-                if pc[i] == tied[0] and nodes[0] <= _SEARCH_NODES:
-                    search({**marks, i: len(marks) + 1})
+    def search(elems, where, cell, end, queue):
+        _refine(nbrs, elems, where, cell, end, queue, n)
+        work[0] += len(elems)
+        s = 0
+        while s < n and end[s] == s + 1:
+            s += 1
+        if s < n and work[0] <= _SEARCH_WORK:
+            for p in elems[s:end[s]]:   # put p first in its cell
+                if best and work[0] > _SEARCH_WORK:
+                    break
+                e2, w2, c2, end2 = elems[:], where[:], cell[:], end[:]
+                x, q = e2[s], w2[p]
+                e2[q], w2[x], e2[s], w2[p] = x, q, p, s
+                end2[s], end2[s + 1] = s + 1, end[s]
+                for y in e2[s + 1:end[s]]:
+                    c2[y] = s + 1
+                search(e2, w2, c2, end2, deque([s]))
         else:
-            leaf = _first_appearance([paths[i] for i in order], code, {})
+            leaf = _first_appearance([paths[i] for i in elems[:n]], code, {})
             if not best or leaf[0] < best[0]:
                 best[:] = leaf
-    search({})
-    return [(best[0], best[1])]
+    search(elems, where, cell, end, deque(starts))
+    return [tuple(best)]
 
 
 class PartitionedQuiver:
@@ -216,37 +292,28 @@ class PartitionedQuiver:
         return [[arrows[p[0]].src, *[arrows[aid].tgt for aid in p]] if p else []
                 for p in self.partition]
 
-    def shape(self) -> tuple[tuple, tuple[int, ...]]:
+    def shape(self, canonical: bool = True) -> tuple[tuple, tuple[int, ...]]:
         """``(key, order)``: this quiver up to vertex names and path order
         (paths keep their direction), and its vertex ids in label order.
 
-        The key is the vertex count, the number of empty paths, the
-        ``_first_appearance`` code of the paths ordered by their vertex
-        codes, then by the labels of the paths with unique codes (by
-        ``_canonical`` if ties are left), and the codes of the vertices on
-        no path, last in (frozen, kind, id) order.  Equal keys mean that
+        The key is the vertex count, the number of empty paths, the codes
+        of the path blocks of ``_canonical`` and the codes of the vertices
+        on no path, last in (frozen, kind, id) order.  Equal keys mean that
         renaming by ``zip(order, other_order)`` gives the other quiver up to
-        arrow ids and path order."""
+        arrow ids and path order.  With ``canonical=False`` the paths are
+        one block in partition order, in linear time: the key stays exact,
+        but a copy with its paths in another order gets another key."""
         vertices = self.vertices
         # each vertex's (frozen, kind) as a negative int, below every label
         code = {v: -1 - 2 * x.frozen - (x.kind == QUASI) for v, x in vertices.items()}
         paths = [p for p in self.itineraries() if p]
-        alone = [tuple(map(code.__getitem__, p)) for p in paths]
-        ties = Counter(alone)
-        first = sorted((a, i) for i, a in enumerate(alone) if ties[a] == 1)
-        coded, label = _first_appearance([paths[i] for _, i in first], code, {})
-        then = sorted(((a, tuple([label.get(v, -1) for v in paths[i]])), i)
-                      for i, a in enumerate(alone) if ties[a] > 1)
-        if len({r for r, _ in then}) == len(then):
-            coded += _first_appearance([paths[i] for _, i in then], code, label)[0]
-        else:
-            parts = _canonical(paths, alone, code)
-            coded = tuple(k for k, _ in parts)
-            label = dict.fromkeys(v for _, lab in parts for v in lab)
+        blocks = _canonical(paths, code) if canonical else \
+            [_first_appearance(paths, code, {})]
+        label = dict.fromkeys(v for _, lab in blocks for v in lab)
         rest = sorted((v for v in vertices.values() if v.id not in label),
                       key=lambda v: (v.frozen, v.kind, v.id))
-        key = (len(vertices), len(self.partition) - len(paths), coded,
-               *[code[v.id] for v in rest])
+        key = (len(vertices), len(self.partition) - len(paths),
+               tuple(k for k, _ in blocks), *[code[v.id] for v in rest])
         return key, (*label, *[v.id for v in rest])
 
     def renamed(self, names: dict[int, int]) -> "PartitionedQuiver":

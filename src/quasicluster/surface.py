@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from .pquiver import (ORDINARY, QUASI, Arrow, PartitionedQuiver, Vertex,
                       _json_int, _json_unique)
 
@@ -102,14 +101,23 @@ def _triangle_matchings(corners: list[tuple[End, End]]):
     (corner index, member index) slots.
     """
     out = []
-    for s0, s1, s2 in product((0, 1), repeat=3):
-        sides = (((0, s0), (1, s1)), ((1, 1 - s1), (2, s2)), ((2, 1 - s2), (0, 1 - s0)))
-        for (ci, mi), (cj, mj) in sides:
-            u, v = corners[ci][mi], corners[cj][mj]
-            if u[0] != v[0] or u[1] == v[1]:
-                break
-        else:
-            out.append(sides)
+    c = corners
+    for s0 in (0, 1):
+        for s1 in (0, 1):
+            for s2 in (0, 1):
+                sides = (
+                    ((0, s0), (1, s1)),
+                    ((1, 1 - s1), (2, s2)),
+                    ((2, 1 - s2), (0, 1 - s0)),
+                )
+                ok = True
+                for (ci, mi), (cj, mj) in sides:
+                    u, v = c[ci][mi], c[cj][mj]
+                    if u[0] != v[0] or u[1] == v[1]:
+                        ok = False
+                        break
+                if ok:
+                    out.append(sides)
     return out
 
 
@@ -288,9 +296,11 @@ class QuasiTriangulation:
         """One mutable vertex per internal arc, one frozen per boundary arc;
         one partition path per marked point, following its walk."""
         self.require_valid()
-        vertices = [Vertex(a, frozen=self.arcs[a] == BOUNDARY,
-                           kind=QUASI if self.arcs[a] == QUASIARC else ORDINARY)
-                    for a in sorted(self.arcs)]
+        vertices = []
+        for a in sorted(self.arcs):
+            kind = self.arcs[a]
+            vertices.append(Vertex(a, frozen=(kind == BOUNDARY),
+                                   kind=QUASI if kind == QUASIARC else ORDINARY))
         arrows = []
         partition = []
         aid = 1
@@ -362,9 +372,12 @@ class QuasiTriangulation:
             if kind == BOUNDARY:
                 out[arc] = 0
                 continue
-            (p0, i0), (p1, i1) = position[(arc, 0)], position[(arc, 1)]
-            # member 1 of corner i-1 and member 0 of corner i touch token i
-            out[arc] = int(inst[(p0, i0 - 1, 1)] == inst[(p1, i1 - 1, 1)])
+            lefts = []
+            for e in (0, 1):
+                pt, i = position[(arc, e)]
+                # member 1 of corner i-1 and member 0 of corner i touch token i
+                lefts.append(inst[(pt, i - 1, 1)])
+            out[arc] = 1 if lefts[0] == lefts[1] else 0
         return out
 
     # -- flips ---------------------------------------------------------------------
@@ -488,22 +501,27 @@ class QuasiTriangulation:
         assert len(merged_slots) == 2 and len(halves1) == 2 and len(halves2) == 2
 
         solutions = []
-        for k1, k2 in product((0, 1), repeat=2):
-            tri_a = [merged_slots[0], halves1[k1], halves2[k2]]
-            tri_b = [merged_slots[1], halves1[1 - k1], halves2[1 - k2]]
-            sides = []
-            for slots in (tri_a, tri_b):
-                corners = [self.corner_tokens(*s) for s in slots]
-                ms = _triangle_matchings(corners)
-                if not ms:
-                    break
-                sides.append(sorted(corners[ci][mi][0] for (ci, mi), _ in ms[0]))
-            else:
-                solutions.append((tri_a, tri_b, sides))
+        for k1 in (0, 1):
+            for k2 in (0, 1):
+                tri_a = [merged_slots[0], halves1[k1], halves2[k2]]
+                tri_b = [merged_slots[1], halves1[1 - k1], halves2[1 - k2]]
+                sides = []
+                ok = True
+                for slots in (tri_a, tri_b):
+                    corners = [self.corner_tokens(*s) for s in slots]
+                    ms = _triangle_matchings(corners)
+                    if not ms:
+                        ok = False
+                        break
+                    sides.append(sorted(corners[ci][mi][0] for (ci, mi), _ in ms[0]))
+                if ok:
+                    solutions.append((tri_a, tri_b, sides))
         if not solutions:
             raise FlipError(f"arc {arc}: no consistent corner reassignment")
-        if len({tuple(map(tuple, s[2])) for s in solutions}) > 1:
-            raise FlipError(f"arc {arc}: ambiguous corner reassignment")
+        if len(solutions) > 1:
+            keys = {tuple(map(tuple, s[2])) for s in solutions}
+            if len(keys) > 1:
+                raise FlipError(f"arc {arc}: ambiguous corner reassignment")
         tri_a, tri_b, sides = solutions[0]
         na, nb = self.fresh_triangle_id(), self.fresh_triangle_id() + 1
         del self.triangles[t1]
@@ -611,11 +629,20 @@ def _assign_corners(walks, triangles) -> dict[int, list[int]]:
         return walks[pt][i], walks[pt][i + 1]
 
     def candidates(slot):
-        # a quasi-triangle's corner holds both ends of its loop; another
-        # triangle's holds two of its sides
         (a, _), (b, _) = corner(slot)
-        return [tri.id for tri in by_arc.get(a, ()) if demand[tri.id] > 0 and
-                (b == a if tri.kind == TRI_QUASI else tri.sides.count(b) > (b == a))]
+        cands = []
+        for tri in by_arc.get(a, ()):
+            if demand[tri.id] <= 0:
+                continue
+            if tri.kind == TRI_QUASI:
+                if b == a:
+                    cands.append(tri.id)
+            else:
+                rest = list(tri.sides)
+                rest.remove(a)
+                if b in rest:
+                    cands.append(tri.id)
+        return cands
 
     def fits(tid, slot):
         tri = tris[tid]
@@ -665,6 +692,7 @@ def polygon_fan(c: int) -> QuasiTriangulation:
     arcs.update({bnd[i]: BOUNDARY for i in bnd})
     tri_of = {}  # triangle U_j for j = 2..c-1
     tris = []
+    tid = 1
     for j in range(2, c):
         if j == 2:
             sides = (bnd[1], bnd[2], diag[3])
@@ -672,8 +700,9 @@ def polygon_fan(c: int) -> QuasiTriangulation:
             sides = (diag[c - 1], bnd[c - 1], bnd[c])
         else:
             sides = (diag[j], bnd[j], diag[j + 1])
-        tri_of[j] = len(tris) + 1
-        tris.append(Triangle(tri_of[j], TRI_REGULAR, sides))
+        tris.append(Triangle(tid, TRI_REGULAR, sides))
+        tri_of[j] = tid
+        tid += 1
     walks = {}
     corner = {}
     w1 = [(bnd[c], 1)] + [(diag[j], 0) for j in range(c - 1, 2, -1)] + [(bnd[1], 0)]
@@ -717,6 +746,7 @@ def mobius_fan(n: int) -> QuasiTriangulation:
     af = Triangle(1, TRI_ANTI_SELF_FOLDED, (loop, dbl, dbl))
     tris = [af]
     tri_of = {}
+    tid = 2
     for j in range(1, n):
         if n == 2:
             sides = (loop, bnd[1], bnd[2])
@@ -726,19 +756,30 @@ def mobius_fan(n: int) -> QuasiTriangulation:
             sides = (fan[n - 1], bnd[n - 1], bnd[n])
         else:
             sides = (fan[j], bnd[j], fan[j + 1])
-        tri_of[j] = len(tris) + 1
-        tris.append(Triangle(tri_of[j], TRI_REGULAR, sides))
+        tris.append(Triangle(tid, TRI_REGULAR, sides))
+        tri_of[j] = tid
+        tid += 1
     walks = {}
     corner = {}
-    w1 = [(bnd[n], 1)] + [(fan[j], 0) for j in range(n - 1, 1, -1)]
-    c1 = [tri_of[j] for j in range(n - 1, 1, -1)]
+    w1 = [(bnd[n], 1)]
+    c1 = []
+    for j in range(n - 1, 1, -1):
+        w1.append((fan[j], 0))
+        c1.append(tri_of[j] if j < n - 1 else tri_of[n - 1])
     w1 += [(loop, 0), (dbl, 0), (dbl, 1), (loop, 1), (bnd[1], 0)]
     c1 += [tri_of[1], af.id, af.id, af.id, tri_of[1]]
     walks[1], corner[1] = w1, c1
     for i in range(2, n + 1):
-        inner = [(fan[i], 1)] if i in fan else []
-        walks[i] = [(bnd[i - 1], 1), *inner, (bnd[i], 0)]
-        corner[i] = [tri_of[i - 1], tri_of[i]] if i in fan else [tri_of[i - 1]]
+        w = [(bnd[i - 1], 1)]
+        cs = []
+        if i in fan:
+            w.append((fan[i], 1))
+            cs.append(tri_of[i - 1])
+            cs.append(tri_of[i])
+        else:
+            cs.append(tri_of[i - 1])
+        w.append((bnd[i], 0))
+        walks[i], corner[i] = w, cs
     points = {i: 0 for i in range(1, n + 1)}
     return QuasiTriangulation(sig, arcs, points, walks, corner, tris)
 
@@ -838,10 +879,12 @@ def named_fixture(name: str) -> QuasiTriangulation:
     """Fixture lookup: 'mobius:N', 'polygon:C' (N, C at most
     MAX_FIXTURE_SIZE), 'annulus-crosscap', 'mobius-three-arc',
     'three-boundary'."""
-    named = {"annulus-crosscap": annulus_crosscap,
-             "mobius-three-arc": mobius_three_arc, "three-boundary": three_boundary}
-    if name in named:
-        return named[name]()
+    if name == "annulus-crosscap":
+        return annulus_crosscap()
+    if name == "mobius-three-arc":
+        return mobius_three_arc()
+    if name == "three-boundary":
+        return three_boundary()
     if ":" in name:
         base, arg = name.split(":", 1)
         if base in FIXTURES:

@@ -127,10 +127,14 @@ def suite_compat(max_len: int = 3) -> SuiteResult:
 
 
 def _expected_counts() -> list[tuple[str, int]]:
-    """(fixture, variable count) of mobius:1..4 and of polygon:5, 6, which
-    have c - 3 diagonals."""
-    return [(f"mobius:{m}", mobius_variable_count(m)) for m in (1, 2, 3, 4)] + \
-        [(f"polygon:{c}", polygon_variable_count(c - 3)) for c in (5, 6)]
+    return [
+        ("mobius:1", mobius_variable_count(1)),
+        ("mobius:2", mobius_variable_count(2)),
+        ("mobius:3", mobius_variable_count(3)),
+        ("mobius:4", mobius_variable_count(4)),
+        ("polygon:5", polygon_variable_count(2)),
+        ("polygon:6", polygon_variable_count(3)),
+    ]
 
 
 def suite_counts(rng_seed: int = 77003) -> SuiteResult:

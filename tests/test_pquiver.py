@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from quasicluster.cli import main
 from quasicluster.pquiver import (AmbiguousClosure, Arrow, PartitionedQuiver,
                                   Unclassifiable, Vertex, ORDINARY, QUASI)
 from quasicluster.surface import mobius_fan, named_fixture, polygon_fan
@@ -431,12 +432,38 @@ def test_shape_keeps_path_direction_and_vertex_kinds():
     assert lonely.shape()[0] != key and lonely.shape()[1][-1] == 99
 
 
+def zigzag_polygon(c):
+    """The quiver of the zigzag triangulation of a disk with marked points
+    1..c (diagonals 2-c, 2-(c-1), 3-(c-1), 3-(c-2), ...): one path per
+    point through its arcs, each diagonal on two paths, and only the ends
+    of the strip tell the paths apart."""
+    diagonals, lo, hi = [], 2, c
+    while hi - lo >= 2:
+        diagonals.append((lo, hi))
+        lo, hi = (lo, hi - 1) if len(diagonals) % 2 else (lo + 1, hi)
+    ends = {c + i: (i, i % c + 1) for i in range(1, c + 1)}   # boundary arcs
+    ends.update(enumerate(diagonals, 1))
+    at = {p: [] for p in range(1, c + 1)}   # each point's arcs by angle
+    for a, (p, q) in ends.items():
+        at[p].append(((q - p) % c, a))
+        at[q].append(((p - q) % c, a))
+    return from_itineraries([[a for _, a in sorted(at[p], reverse=True)] for p in at],
+                            frozen=range(c + 1, 2 * c + 1))
+
+
 @pytest.mark.parametrize("make", [
     lambda: mobius_fan(1000).build_quiver(),
     lambda: disjoint_union(*[polygon_fan(5).build_quiver()] * 8),
     lambda: twin_paths(200),
-], ids=["mobius_fan(1000)", "8 polygon:5", "200 twin paths"])
+    lambda: from_itineraries([[m, m + 1] for m in range(3, 2003)]),
+    lambda: from_itineraries([[m, m % 2000 + 1] for m in range(1, 2001)], frozen=()),
+    lambda: zigzag_polygon(1000),
+], ids=["mobius_fan(1000)", "8 polygon:5", "200 twin paths", "chain of 2000 tied paths",
+        "ring of 2000 tied paths", "zigzag polygon:1000"])
 def test_shape_takes_bounded_time(make):
+    # refinement settles a chain of tied paths in O(m log n), however many
+    # rounds its colours take to spread; symmetric inputs end the branching
+    # at the work bound
     q = make()
     start = time.perf_counter()
     key, order = q.shape()
@@ -447,5 +474,29 @@ def test_shape_takes_bounded_time(make):
     assert labelled.shape() == (key, tuple(range(len(order))))
     copy = shuffled_copy(q, random.Random(len(order)))
     copy_key, copy_order = copy.shape()
-    if copy_key == key:
-        assert same_up_to_path_order(q.renamed(dict(zip(order, copy_order))), copy)
+    assert copy_key == key
+    assert same_up_to_path_order(q.renamed(dict(zip(order, copy_order))), copy)
+
+
+def test_zigzag_polygon_is_a_triangulation_quiver():
+    assert zigzag_polygon(6).itineraries() == [
+        [12, 7], [7, 1, 2, 8], [8, 3, 9], [9, 10], [10, 3, 2, 11], [11, 1, 12]]
+    q = zigzag_polygon(40)
+    assert q.validate() == [] and len(q.mutable_ids()) == 37
+    assert {q.classify_vertex(t).type for t in q.mutable_ids()} == {"V1"}
+
+
+def test_verify_in_labels_canonically_once(tmp_path, capsys, monkeypatch):
+    # verify --in mutates at each vertex and back; those mutations key their
+    # children in partition order, so only the initial seed pays for the
+    # canonical labelling
+    path = tmp_path / "zigzag.json"
+    path.write_text(zigzag_polygon(200).dumps())
+    calls, shape = [], PartitionedQuiver.shape
+    monkeypatch.setattr(PartitionedQuiver, "shape", lambda q, canonical=True: (
+        calls.append(canonical), shape(q, canonical))[1])
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(path)]) == 0
+    assert "0 failures over 197 vertices" in capsys.readouterr().out
+    assert calls.count(True) == 1 and len(calls) > 2 * 197
+    assert time.perf_counter() - start < 5
