@@ -109,6 +109,67 @@ def _json_kind(value) -> str:
     return value
 
 
+def _vertex_codes(vertices) -> dict[int, int]:
+    """Each vertex's (frozen, kind) as a negative int, below every label."""
+    return {v: -1 - 2 * x.frozen - (x.kind == QUASI) for v, x in vertices.items()}
+
+
+def _components(paths) -> list[list]:
+    """``paths`` split into the connected components of the path-sharing
+    graph (two paths meet where they share a vertex), each in the order of
+    ``paths``, the components by their first path."""
+    root = list(range(len(paths)))   # a component's root is its least index
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+    first = {}   # each vertex's first path
+    for i, path in enumerate(paths):
+        for v in path:
+            j = first.setdefault(v, i)
+            if j != i:
+                a, b = find(j), find(i)
+                root[max(a, b)] = min(a, b)
+    parts = defaultdict(list)
+    for i, path in enumerate(paths):
+        parts[find(i)].append(path)
+    return list(parts.values())
+
+
+def _least_code(paths, code) -> tuple:
+    """The least concatenation of ``_first_appearance`` codes of ``paths``
+    (tuples) over their orders and directions, each path's labels carried
+    to the next.  Codes are led by their length, so each step takes a least
+    next code, which only the shortest remaining paths can give; ties
+    branch, and a branch whose prefix is above the best is dropped."""
+    best = None
+
+    def search(rest, label, acc):
+        nonlocal best
+        if best is not None and acc > best[:len(acc)]:
+            return
+        if not rest:
+            best = acc
+            return
+        low, options = None, []   # the least next code; each tie's labels and path
+        shortest = min(len(paths[i]) for i in rest)
+        for i in rest:
+            if len(paths[i]) > shortest:
+                continue
+            for p in {paths[i], paths[i][::-1]}:   # a palindrome once
+                c, lab = _first_appearance([p], code, dict(label))
+                if low is None or c < low:
+                    low, options = c, [(lab, i)]
+                elif c == low:
+                    options.append((lab, i))
+        for lab, i in options:
+            search(rest - {i}, lab, acc + low)
+    search(frozenset(range(len(paths))), {}, ())
+    return best
+
+
 def _first_appearance(paths, code, label: dict) -> tuple[tuple, dict[int, int]]:
     """``paths`` in the given order, each led by its length, a vertex written
     as ``code[v]`` where it first appears and as its label (the number of
@@ -207,20 +268,9 @@ def _canonical(paths, code) -> list[tuple[tuple, dict]]:
     order = sorted(range(n), key=colour.__getitem__)
     if all(colour[i] != colour[j] for i, j in zip(order, order[1:])):
         return [_first_appearance([paths[i] for i in order], code, {})]
-    seen, met, parts = set(), set(), []
-    for first in range(n):   # the components, breadth first
-        if first not in seen:
-            parts.append([first])
-            seen.add(first)
-            for i in parts[-1]:
-                for v in set(paths[i]) - met:   # each vertex's paths read once
-                    met.add(v)
-                    new = {p for p, _ in occurs[v]} - seen
-                    seen |= new
-                    parts[-1] += new
+    parts = _components(paths)
     if len(parts) > 1:
-        return sorted((c for part in map(sorted, parts)
-                       for c in _canonical([paths[i] for i in part], code)),
+        return sorted((c for part in parts for c in _canonical(part, code)),
                       key=lambda c: c[0])
     # paths are elements 0..n-1, the vertices n.. in order of appearance
     index = {v: n + k for k, v in enumerate(occurs)}
@@ -304,8 +354,7 @@ class PartitionedQuiver:
         one block in partition order, in linear time: the key stays exact,
         but a copy with its paths in another order gets another key."""
         vertices = self.vertices
-        # each vertex's (frozen, kind) as a negative int, below every label
-        code = {v: -1 - 2 * x.frozen - (x.kind == QUASI) for v, x in vertices.items()}
+        code = _vertex_codes(vertices)
         paths = [p for p in self.itineraries() if p]
         blocks = _canonical(paths, code) if canonical else \
             [_first_appearance(paths, code, {})]
@@ -646,57 +695,17 @@ class PartitionedQuiver:
     # -- canonical form -------------------------------------------------------
 
     def canonical_form(self) -> bytes:
-        """Byte form invariant under id renaming and whole-path reversal.
-
-        Each path is encoded as its vertex itinerary with first-appearance
-        labelling; the minimum over path orders and per-path reversals is
-        canonical.  Ties branch, so the result is exact.
-        """
-        seqs = [seq for seq in self.itineraries() if seq]
-        on_path = {v for s in seqs for v in s}
-        # each vertex's token at its first appearance
-        fresh = {v.id: (1, 0, v.kind, 1 if v.frozen else 0)
-                 for v in self.vertices.values()}
-        isolated = sorted((f, kind) for vid, (_, _, kind, f) in fresh.items()
-                          if vid not in on_path)
-        best: list | None = None
-
-        def segment(seq, labels):
-            labels = dict(labels)
-            toks = []
-            for vid in seq:
-                if vid in labels:
-                    toks.append((2, labels[vid], "", 0))
-                else:
-                    labels[vid] = len(labels)
-                    toks.append(fresh[vid])
-            return toks, labels
-
-        def rec(remaining, labels, acc):
-            nonlocal best
-            if best is not None and acc > best[:len(acc)]:
-                return
-            if not remaining:
-                cand = acc + [(0, 0, "", 0)] + [(3, f, kind, 0) for f, kind in isolated]
-                if best is None or cand < best:
-                    best = cand
-                return
-            options = []
-            for idx in sorted(remaining):
-                for flip in (False, True):
-                    seq = seqs[idx][::-1] if flip else seqs[idx]
-                    toks, nl = segment(seq, labels)
-                    options.append((toks, idx, nl))
-            lo = min(t for t, _, _ in options)
-            # ties must all branch: equal segments can still label shared
-            # vertices differently and diverge later
-            for toks, idx, nl in options:
-                if toks == lo:
-                    rec(remaining - {idx}, nl, acc + toks + [(0, 0, "", 0)])
-
-        rec(frozenset(range(len(seqs))), {}, [])
-        assert best is not None
-        return repr(best).encode()
+        """Byte form invariant under vertex renaming, path order and path
+        reversal: ``repr`` of the sorted ``_least_code`` of each component
+        of the path-sharing graph, then the sorted ``_vertex_codes`` of the
+        vertices on no path.  Empty paths do not count.  Exact, but k tied
+        paths through one vertex take time exponential in k."""
+        code = _vertex_codes(self.vertices)
+        paths = [tuple(p) for p in self.itineraries() if p]
+        form = sorted(_least_code(part, code) for part in _components(paths))
+        on_path = {v for p in paths for v in p}
+        form += sorted(c for v, c in code.items() if v not in on_path)
+        return repr(tuple(form)).encode()
 
     def restrict_to_mutable(self) -> "PartitionedQuiver":
         """Drop frozen vertices and their arrows; trim paths accordingly."""

@@ -157,9 +157,9 @@ def test_verify_good_quiver_involution(tmp_path, capsys):
 
 def test_verify_in_on_disjoint_copies_needs_no_canonical_form(tmp_path, capsys,
                                                               monkeypatch):
-    # on k disjoint copies of one quiver canonical_form branches over k!
-    # orders of the tied copies; the involution check compares labelled
-    # quivers, in linear time
+    # the involution check compares labelled quivers, in linear time, and
+    # needs no form up to vertex names; canonical_form would search each of
+    # the k disjoint copies on its own
     one = named_fixture("polygon:5").build_quiver().to_json()
     n, m = len(one["vertices"]), len(one["arrows"])
     data = {"vertices": [], "arrows": [], "partition": []}

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+import pquiver_reference as reference
 from quasicluster.cli import main
 from quasicluster.pquiver import (AmbiguousClosure, Arrow, PartitionedQuiver,
                                   Unclassifiable, Vertex, ORDINARY, QUASI)
@@ -390,6 +391,60 @@ def oracle_quivers():
                                      [[3, 4, 5, 6, 7, 8]], [[3, 4], [5, 6], [7, 8]],
                                      [[3], [4, 5, 6, 7, 8]], [[3, 4], [5, 6, 7]])]
     return out
+
+
+def reversed_copy(q, rng):
+    """``q`` with each path reversed, arrows turned round, with odds 1/2."""
+    copy = q.copy()
+    for path in copy.partition:
+        if rng.random() < 0.5:
+            path.reverse()
+            for aid in path:
+                a = copy.arrows[aid]
+                copy.arrows[aid] = Arrow(a.id, a.tgt, a.src)
+    return copy
+
+
+def test_canonical_form_matches_the_token_search():
+    # two quivers get one form exactly when the token search gives them one,
+    # and a copy with reversed paths, or renamed with its paths shuffled,
+    # gets its original's form
+    rng = random.Random(15)
+    quivers = oracle_quivers()
+    walks = [q for q in quivers if len(q.partition) <= 3]
+    for _ in range(40):
+        a, b = rng.sample(walks, 2)
+        quivers.append(disjoint_union(a, reversed_copy(b, rng)))
+    quivers += [disjoint_union(*[from_itineraries([[1, 3, 2]])] * k) for k in (2, 6)]
+    for q in rng.sample(walks, 4):   # vertices on no path
+        for frozen, kind in ((False, ORDINARY), (False, QUASI), (True, ORDINARY)):
+            lonely, v = q.copy(), max(q.vertices) + 1
+            lonely.vertices[v] = Vertex(v, frozen, kind)
+            quivers.append(lonely)
+    assert max(len(q.partition) for q in quivers) <= 6
+    forms = [q.canonical_form() for q in quivers]
+    refs = [reference.canonical_form(q) for q in quivers]
+    assert len(set(forms)) == len(set(refs)) == len(set(zip(forms, refs)))
+    assert 1 < len(set(forms)) < len(quivers)
+    for q, form, ref in zip(quivers, forms, refs):
+        for copy in (reversed_copy(q, rng), shuffled_copy(q, rng)):
+            assert copy.canonical_form() == form
+            assert reference.canonical_form(copy) == ref
+
+
+@pytest.mark.parametrize("make", [
+    lambda: disjoint_union(*[from_itineraries([[1, 3, 2]])] * 8),
+    lambda: disjoint_union(*[polygon_fan(5).build_quiver()] * 8),
+], ids=["8 disjoint paths", "8 polygon:5"])
+def test_canonical_form_takes_bounded_time_on_disjoint_copies(make):
+    # each component is searched on its own, so disjoint copies do not
+    # multiply the orders to try
+    q = make()
+    start = time.perf_counter()
+    form = q.canonical_form()
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(8)
+    assert shuffled_copy(reversed_copy(q, rng), rng).canonical_form() == form
 
 
 def test_shape_key_matches_brute_force_over_path_orders():
