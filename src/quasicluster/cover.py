@@ -110,7 +110,7 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
         if tri.kind == TRI_QUASI:
             raise QuasiArcPresent("quasi-triangle present")
         slots = slots_of[tri.id]
-        corners = [base.corner_tokens(*s) for s in slots]
+        corners = base.corners_at(slots)
         matching = _triangle_matchings(corners)
         if not matching:
             raise InvalidTriangulation(f"triangle {tri.id} has no side matching")

@@ -96,37 +96,35 @@ def _triangle_matchings(corners: list[tuple[End, End]]):
     """Side matchings of three corner token-pairs.
 
     Each matching pairs the six token slots into three sides (same arc,
-    opposite end labels) forming a 3-cycle over the corners.  Returns a list
-    of matchings; a matching is a tuple of three sides, each a pair of
-    (corner index, member index) slots.
+    different end labels) forming a 3-cycle over the corners; a matching is
+    a tuple of three sides, each a pair of (corner index, member index)
+    slots.  A member of one corner fixes the arc its neighbour corner must
+    show, so only the branches that glue are followed.
     """
     out = []
-    c = corners
+    c0, c1, c2 = corners
     for s0 in (0, 1):
+        u, w = c0[s0], c0[1 - s0]
         for s1 in (0, 1):
+            v = c1[s1]
+            if u[0] != v[0] or u[1] == v[1]:
+                continue
+            x = c1[1 - s1]
             for s2 in (0, 1):
-                sides = (
-                    ((0, s0), (1, s1)),
-                    ((1, 1 - s1), (2, s2)),
-                    ((2, 1 - s2), (0, 1 - s0)),
-                )
-                ok = True
-                for (ci, mi), (cj, mj) in sides:
-                    u, v = c[ci][mi], c[cj][mj]
-                    if u[0] != v[0] or u[1] == v[1]:
-                        ok = False
-                        break
-                if ok:
-                    out.append(sides)
+                y, z = c2[s2], c2[1 - s2]
+                if x[0] == y[0] and x[1] != y[1] and z[0] == w[0] and z[1] != w[1]:
+                    out.append((((0, s0), (1, s1)), ((1, 1 - s1), (2, s2)),
+                                ((2, 1 - s2), (0, 1 - s0))))
     return out
 
 
-def _realizes(corners: list[tuple[End, End]], sides) -> bool:
-    """Whether some side matching of three corners uses exactly the arcs
-    ``sides``."""
-    want = sorted(sides)
-    return any(sorted(corners[ci][mi][0] for (ci, mi), _ in m) == want
-               for m in _triangle_matchings(corners))
+def _side_arcs(corners: list[tuple[End, End]]) -> list[int] | None:
+    """The sorted side arcs of three corners, or None if they have no side
+    matching; each side glues two of the six ends, so every other end arc."""
+    if not _triangle_matchings(corners):
+        return None
+    (a, b), (c, d), (e, f) = corners
+    return sorted([a[0], b[0], c[0], d[0], e[0], f[0]])[::2]
 
 
 class QuasiTriangulation:
@@ -148,10 +146,14 @@ class QuasiTriangulation:
     # -- basics ---------------------------------------------------------------
 
     def copy(self) -> "QuasiTriangulation":
-        return QuasiTriangulation(
-            self.signature, self.arcs, self.points, self.walks,
-            self.corner_tri, self.triangles.values(),
-            self.boundary_orientation)
+        t = object.__new__(QuasiTriangulation)
+        t.signature = self.signature
+        t.arcs, t.points = dict(self.arcs), dict(self.points)
+        t.walks = {p: list(w) for p, w in self.walks.items()}
+        t.corner_tri = {p: list(v) for p, v in self.corner_tri.items()}
+        t.triangles = dict(self.triangles)
+        t.boundary_orientation = dict(self.boundary_orientation)
+        return t
 
     def internal_arcs(self) -> list[int]:
         return sorted(a for a, k in self.arcs.items() if k != BOUNDARY)
@@ -170,24 +172,33 @@ class QuasiTriangulation:
         return {tok: (pt, i) for pt, walk in self.walks.items()
                 for i, tok in enumerate(walk)}
 
-    def corner_tokens(self, pt: int, idx: int) -> tuple[End, End]:
-        walk = self.walks[pt]
-        return walk[idx], walk[idx + 1]
+    def corners_at(self, slots) -> list[tuple[End, End]]:
+        """The two arc ends of each corner slot (point, index)."""
+        return [(self.walks[p][i], self.walks[p][i + 1]) for p, i in slots]
 
     def corner_slots(self) -> dict[int, list[tuple[int, int]]]:
         """Map each triangle id to its corner slots (point, index), points in
         sorted order, so that the result does not depend on the order in
         which points were stored."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for pt in sorted(self.corner_tri):
+        return self._slots_of(*self.triangles)
+
+    def _slots_of(self, *tids: int) -> dict[int, list[tuple[int, int]]]:
+        """``corner_slots()`` for the triangles ``tids`` only, reading just the
+        points whose corners hold one of them."""
+        out: dict[int, list[tuple[int, int]]] = {t: [] for t in tids}
+        for pt in sorted(p for p, tris in self.corner_tri.items()
+                         if not out.keys().isdisjoint(tris)):
             for i, t in enumerate(self.corner_tri[pt]):
-                out.setdefault(t, []).append((pt, i))
+                if t in out:
+                    out[t].append((pt, i))
         return out
 
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> list[str]:
         out = []
+        arcs = self.arcs
+        internal = 0
         token_count: dict[End, int] = {}
         for pt, walk in self.walks.items():
             if pt not in self.points:
@@ -195,25 +206,26 @@ class QuasiTriangulation:
             if len(walk) < 2:
                 out.append(f"walk at point {pt} is too short")
                 continue
-            if len(self.corner_tri.get(pt, [])) != len(walk) - 1:
+            last = len(walk) - 1
+            if len(self.corner_tri.get(pt, [])) != last:
                 out.append(f"corner/walk length mismatch at point {pt}")
             for i, tok in enumerate(walk):
                 arc, e = tok
-                if arc not in self.arcs:
+                if arc not in arcs:
                     out.append(f"walk at {pt} references unknown arc {arc}")
                     continue
-                kind = self.arcs[arc]
                 token_count[tok] = token_count.get(tok, 0) + 1
-                extreme = i == 0 or i == len(walk) - 1
-                if kind == BOUNDARY and not extreme:
-                    out.append(f"boundary end {tok} in walk interior at {pt}")
-                if kind != BOUNDARY and extreme:
-                    out.append(f"non-boundary end {tok} at walk extreme of {pt}")
+                kind = arcs[arc]
+                if (kind == BOUNDARY) == (0 < i < last):
+                    out.append(f"boundary end {tok} in walk interior at {pt}"
+                               if kind == BOUNDARY else
+                               f"non-boundary end {tok} at walk extreme of {pt}")
                 if kind == QUASIARC:
                     out.append(f"quasi-arc {arc} appears in a walk")
         for pt in self.corner_tri.keys() - self.walks.keys():
             out.append(f"corners at point {pt}, which has no walk")
-        for arc, kind in self.arcs.items():
+        for arc, kind in arcs.items():
+            internal += kind != BOUNDARY
             expect = 0 if kind == QUASIARC else 1
             for e in (0, 1):
                 c = token_count.get((arc, e), 0)
@@ -222,48 +234,54 @@ class QuasiTriangulation:
         if out:
             return out
 
-        # triangle structure
-        side_use: dict[int, int] = {a: 0 for a in self.arcs}
-        slots_of = self.corner_slots()
+        # each triangle's corners, in one pass; matchings ignore corner order
+        corners: dict[int, list[tuple[End, End]]] = {t: [] for t in self.triangles}
+        stray = []
+        for pt, tris in self.corner_tri.items():
+            walk = self.walks[pt]
+            for i, (t, u, v) in enumerate(zip(tris, walk, walk[1:])):
+                held = corners.get(t)
+                if held is None:
+                    stray.append(f"corner ({pt},{i}) assigned to unknown triangle {t}")
+                else:
+                    held.append((u, v))
+        side_use: dict[int, int] = dict.fromkeys(self.arcs, 0)
         for tri in self.triangles.values():
-            slots = slots_of.get(tri.id, [])
-            for a in tri.sides:
-                if a not in self.arcs:
-                    out.append(f"triangle {tri.id} references unknown arc {a}")
+            tid, kind, sides = tri.id, tri.kind, tri.sides
+            for a in sides:
+                if a not in side_use:
+                    out.append(f"triangle {tid} references unknown arc {a}")
                     return out
                 side_use[a] += 1
-            if tri.kind not in (TRI_REGULAR, TRI_ANTI_SELF_FOLDED, TRI_QUASI):
-                out.append(f"triangle {tri.id} has unknown kind {tri.kind!r}")
+            if kind not in (TRI_REGULAR, TRI_ANTI_SELF_FOLDED, TRI_QUASI):
+                out.append(f"triangle {tid} has unknown kind {kind!r}")
                 continue
-            if tri.kind == TRI_QUASI:
-                if len(tri.sides) != 2:
-                    out.append(f"quasi-triangle {tri.id} has {len(tri.sides)} "
+            held = corners[tid]
+            if kind == TRI_QUASI:
+                if len(sides) != 2:
+                    out.append(f"quasi-triangle {tid} has {len(sides)} "
                                "sides, expected 2")
                     continue
-                loop, q = tri.sides
+                loop, q = sides
                 if self.arcs[q] != QUASIARC:
-                    out.append(f"quasi-triangle {tri.id}: {q} is not a quasi-arc")
+                    out.append(f"quasi-triangle {tid}: {q} is not a quasi-arc")
                 if self.arcs[loop] == QUASIARC:
-                    out.append(f"quasi-triangle {tri.id}: loop {loop} is a quasi-arc")
-                if len(slots) != 1:
-                    out.append(f"quasi-triangle {tri.id} has {len(slots)} corners")
+                    out.append(f"quasi-triangle {tid}: loop {loop} is a quasi-arc")
+                if len(held) != 1:
+                    out.append(f"quasi-triangle {tid} has {len(held)} corners")
                     continue
-                u, v = self.corner_tokens(*slots[0])
+                (u, v), = held
                 if u[0] != loop or v[0] != loop or u[1] == v[1]:
-                    out.append(f"quasi-triangle {tri.id}: corner is not the loop's ends")
+                    out.append(f"quasi-triangle {tid}: corner is not the loop's ends")
             else:
-                if len(slots) != 3:
-                    out.append(f"triangle {tri.id} has {len(slots)} corners")
+                if len(held) != 3:
+                    out.append(f"triangle {tid} has {len(held)} corners")
                     continue
-                if not _realizes([self.corner_tokens(*s) for s in slots], tri.sides):
-                    out.append(f"triangle {tri.id}: corners do not realize sides {tri.sides}")
-                doubled = len(set(tri.sides)) < len(tri.sides)
-                if doubled != (tri.kind == TRI_ANTI_SELF_FOLDED):
-                    out.append(f"triangle {tri.id}: kind {tri.kind} vs sides {tri.sides}")
-        for pt, tris in self.corner_tri.items():
-            for i, t in enumerate(tris):
-                if t not in self.triangles:
-                    out.append(f"corner ({pt},{i}) assigned to unknown triangle {t}")
+                if _side_arcs(held) != sorted(sides):
+                    out.append(f"triangle {tid}: corners do not realize sides {sides}")
+                if (len(set(sides)) < len(sides)) != (kind == TRI_ANTI_SELF_FOLDED):
+                    out.append(f"triangle {tid}: kind {kind} vs sides {sides}")
+        out += stray
         for arc, kind in self.arcs.items():
             want = 2 if kind == REGULAR else 1
             if side_use[arc] != want:
@@ -277,9 +295,8 @@ class QuasiTriangulation:
                 except NonTriangulable as exc:
                     out.append(str(exc))
                 else:
-                    have = len(self.internal_arcs())
-                    if have != n:
-                        out.append(f"internal arc count {have} != {n} from signature")
+                    if internal != n:
+                        out.append(f"internal arc count {internal} != {n} from signature")
         for pt, comp in self.points.items():
             if comp not in self.boundary_orientation:
                 out.append(f"point {pt} on unknown boundary component {comp}")
@@ -296,35 +313,28 @@ class QuasiTriangulation:
         """One mutable vertex per internal arc, one frozen per boundary arc;
         one partition path per marked point, following its walk."""
         self.require_valid()
-        vertices = []
-        for a in sorted(self.arcs):
-            kind = self.arcs[a]
-            vertices.append(Vertex(a, frozen=(kind == BOUNDARY),
-                                   kind=QUASI if kind == QUASIARC else ORDINARY))
+        arcs = self.arcs
+        vertices = [Vertex(a, arcs[a] == BOUNDARY,
+                           QUASI if arcs[a] == QUASIARC else ORDINARY)
+                    for a in sorted(arcs)]
+        # a quasi-triangle's corner runs through its quasi-arc: two arrows
+        through = {t.id: t.sides[1] for t in self.triangles.values()
+                   if t.kind == TRI_QUASI}
         arrows = []
         partition = []
-        aid = 1
         for pt in sorted(self.walks):
-            walk = list(self.walks[pt])
-            tris = list(self.corner_tri[pt])
+            ends = [a for a, _ in self.walks[pt]]
+            tris = self.corner_tri[pt]
             if self.boundary_orientation[self.points[pt]]:
-                walk.reverse()
-                tris.reverse()
-            path = []
-            for i in range(len(walk) - 1):
-                a, b = walk[i][0], walk[i + 1][0]
-                tri = self.triangles[tris[i]]
-                if tri.kind == TRI_QUASI:
-                    loop, q = tri.sides
-                    arrows.append(Arrow(aid, a, q))
-                    arrows.append(Arrow(aid + 1, q, b))
-                    path.extend([aid, aid + 1])
-                    aid += 2
-                else:
-                    arrows.append(Arrow(aid, a, b))
-                    path.append(aid)
-                    aid += 1
-            partition.append(path)
+                ends, tris = ends[::-1], tris[::-1]
+            first = len(arrows) + 1
+            for a, b, t in zip(ends, ends[1:], tris):
+                q = through.get(t)
+                if q is not None:
+                    arrows.append(Arrow(len(arrows) + 1, a, q))
+                    a = q
+                arrows.append(Arrow(len(arrows) + 1, a, b))
+            partition.append(list(range(first, len(arrows) + 1)))
         return PartitionedQuiver(vertices, arrows, partition)
 
     # -- orientation transport -------------------------------------------------------
@@ -345,8 +355,7 @@ class QuasiTriangulation:
                 inst[(pt, i, 0)] = (tri.id, 0)
                 inst[(pt, i, 1)] = (tri.id, 0)
                 continue
-            corners = [self.corner_tokens(*s) for s in slots]
-            matchings = _triangle_matchings(corners)
+            matchings = _triangle_matchings(self.corners_at(slots))
             if not matchings:
                 raise InvalidTriangulation(f"triangle {tri.id} has no side matching")
             for k, side in enumerate(matchings[0]):
@@ -417,7 +426,7 @@ class QuasiTriangulation:
         qt = next(tr for tr in self.triangles.values()
                   if tr.kind == TRI_QUASI and tr.sides[1] == arc)
         loop = qt.sides[0]
-        (pt, i), = self.corner_slots()[qt.id]
+        (pt, i), = self._slots_of(qt.id)[qt.id]
         af = Triangle(self.fresh_triangle_id(), TRI_ANTI_SELF_FOLDED,
                       (loop, arc, arc))
         self.walks[pt][i + 1:i + 1] = [(arc, 0), (arc, 1)]
@@ -456,7 +465,7 @@ class QuasiTriangulation:
                 "this configuration is outside the supported class")
         del walk[mid:mid + 2]
         tris[mid - 1:mid + 2] = [delta.id]
-        third = [(p, i) for (p, i) in self.corner_slots()[delta.id]
+        third = [(p, i) for (p, i) in self._slots_of(delta.id)[delta.id]
                  if not (p == pt and i == mid - 1)]
         if len(third) != 1:
             raise FlipError(f"triangle {delta.id} third corner not unique")
@@ -469,73 +478,64 @@ class QuasiTriangulation:
         covers plain quadrilaterals, quadrilaterals with a repeated side, and
         the base arc of an anti-self-folded triangle, which all share the same
         corner rewrite."""
-        flank_slots = [(p0, i0 - 1), (p0, i0), (p1, i1 - 1), (p1, i1)]
-        flank_tris = [self.corner_tri[p][i] for p, i in flank_slots]
-        distinct = sorted(set(flank_tris))
-        if len(distinct) != 2 or any(flank_tris.count(t) != 2 for t in distinct):
+        walks, corner_tri = self.walks, self.corner_tri
+        flank = [corner_tri[p0][i0 - 1], corner_tri[p0][i0],
+                 corner_tri[p1][i1 - 1], corner_tri[p1][i1]]
+        distinct = sorted(set(flank))
+        if len(distinct) != 2 or flank.count(distinct[0]) != 2:
             raise InvalidTriangulation(
                 f"arc {arc}: flanking corners belong to {distinct}")
         t1, t2 = distinct
-        for t in (t1, t2):
-            if self.triangles[t].kind == TRI_QUASI:
-                raise InvalidTriangulation(f"arc {arc} flanked by quasi-triangle")
+        if TRI_QUASI in (self.triangles[t1].kind, self.triangles[t2].kind):
+            raise InvalidTriangulation(f"arc {arc} flanked by quasi-triangle")
 
+        # marks are ids no triangle has: na for each end's merged flanks; the
+        # third corner of t1 / t2 takes the new arc's end 0 / 1 and splits
+        # into two corners marked na + 1 / na + 2
+        na = self.fresh_triangle_id()
         for p, i in sorted([(p0, i0), (p1, i1)], reverse=True):
-            del self.walks[p][i]
-            self.corner_tri[p][i - 1:i + 1] = [-1]
-        # the remaining slot of t1 / t2 is its third corner; it takes the new
-        # arc's end 0 / 1 and splits into two corners marked -2 / -3
-        slots_of = self.corner_slots()
+            del walks[p][i]
+            corner_tri[p][i - 1:i + 1] = [na]
+        thirds = self._slots_of(t1, t2)
         inserts = []
         for e, t in ((0, t1), (1, t2)):
-            third = slots_of.get(t, [])
-            if len(third) != 1:
+            if len(thirds[t]) != 1:
                 raise FlipError(f"triangle {t} third corner not unique")
-            inserts.append((*third[0], e))
+            inserts.append((*thirds[t][0], e))
         # right to left, so that an insertion never shifts a pending slot
         for p, j, e in sorted(inserts, reverse=True):
-            self.walks[p][j + 1:j + 1] = [(arc, e)]
-            self.corner_tri[p][j:j + 1] = [-2 - e, -2 - e]
-        slots_of = self.corner_slots()
-        merged_slots, halves1, halves2 = slots_of[-1], slots_of[-2], slots_of[-3]
-        assert len(merged_slots) == 2 and len(halves1) == 2 and len(halves2) == 2
+            walks[p][j + 1:j + 1] = [(arc, e)]
+            corner_tri[p][j:j + 1] = [na + 1 + e, na + 1 + e]
+        marked = self._slots_of(na, na + 1, na + 2)
+        if any(len(slots) != 2 for slots in marked.values()):
+            raise FlipError(f"arc {arc}: marked corners {marked} are not in pairs")
+        merged, halves1, halves2 = marked.values()
+        m, h1, h2 = map(self.corners_at, (merged, halves1, halves2))
 
         solutions = []
         for k1 in (0, 1):
             for k2 in (0, 1):
-                tri_a = [merged_slots[0], halves1[k1], halves2[k2]]
-                tri_b = [merged_slots[1], halves1[1 - k1], halves2[1 - k2]]
-                sides = []
-                ok = True
-                for slots in (tri_a, tri_b):
-                    corners = [self.corner_tokens(*s) for s in slots]
-                    ms = _triangle_matchings(corners)
-                    if not ms:
-                        ok = False
-                        break
-                    sides.append(sorted(corners[ci][mi][0] for (ci, mi), _ in ms[0]))
-                if ok:
-                    solutions.append((tri_a, tri_b, sides))
+                a = _side_arcs([m[0], h1[k1], h2[k2]])
+                b = a and _side_arcs([m[1], h1[1 - k1], h2[1 - k2]])
+                if b:
+                    solutions.append(([merged[0], halves1[k1], halves2[k2]],
+                                      [merged[1], halves1[1 - k1], halves2[1 - k2]],
+                                      [a, b]))
         if not solutions:
             raise FlipError(f"arc {arc}: no consistent corner reassignment")
-        if len(solutions) > 1:
-            keys = {tuple(map(tuple, s[2])) for s in solutions}
-            if len(keys) > 1:
-                raise FlipError(f"arc {arc}: ambiguous corner reassignment")
+        if any(s[2] != solutions[0][2] for s in solutions):
+            raise FlipError(f"arc {arc}: ambiguous corner reassignment")
         tri_a, tri_b, sides = solutions[0]
-        na, nb = self.fresh_triangle_id(), self.fresh_triangle_id() + 1
-        del self.triangles[t1]
-        del self.triangles[t2]
-        for new_id, slots, side in ((na, tri_a, sides[0]), (nb, tri_b, sides[1])):
-            doubled = len(set(side)) < len(side)
-            kind = TRI_ANTI_SELF_FOLDED if doubled else TRI_REGULAR
-            if doubled:
+        del self.triangles[t1], self.triangles[t2]
+        for new_id, slots, side in ((na, tri_a, sides[0]), (na + 1, tri_b, sides[1])):
+            kind = TRI_REGULAR
+            if len(set(side)) < len(side):
                 dup = next(a for a in side if side.count(a) == 2)
                 base = next(a for a in side if a != dup)
-                side = [base, dup, dup]
+                kind, side = TRI_ANTI_SELF_FOLDED, [base, dup, dup]
             self.triangles[new_id] = Triangle(new_id, kind, tuple(side))
             for p, i in slots:
-                self.corner_tri[p][i] = new_id
+                corner_tri[p][i] = new_id
 
     # -- serialization ----------------------------------------------------------------
 
@@ -647,7 +647,7 @@ def _assign_corners(walks, triangles) -> dict[int, list[int]]:
     def fits(tid, slot):
         tri = tris[tid]
         return demand[tid] > 1 or tri.kind == TRI_QUASI or \
-            _realizes(held[tid] + [corner(slot)], tri.sides)
+            _side_arcs(held[tid] + [corner(slot)]) == sorted(tri.sides)
 
     # depth first over the slots in order, with one candidate iterator per
     # slot on an explicit stack, so the depth is not bounded by the

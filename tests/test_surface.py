@@ -1,16 +1,20 @@
+import itertools
 import json
 import random
 from collections import Counter
 
 import pytest
 
+import surface_reference as reference
+from quasicluster import surface
 from quasicluster.cli import main
 from quasicluster.cover import lift
 from quasicluster.pquiver import Arrow, PartitionedQuiver, Vertex
-from quasicluster.surface import (InvalidTriangulation, NonTriangulable,
-                                  NotFlippable, QuasiTriangulation,
-                                  SurfaceSignature, annulus_crosscap,
-                                  arc_count, euler_characteristic_nonorientable,
+from quasicluster.surface import (FlipError, InvalidTriangulation,
+                                  NonTriangulable, NotFlippable,
+                                  QuasiTriangulation, SurfaceSignature,
+                                  Triangle, annulus_crosscap, arc_count,
+                                  euler_characteristic_nonorientable,
                                   mobius_fan, mobius_three_arc, named_fixture,
                                   polygon_fan, three_boundary)
 
@@ -253,22 +257,219 @@ def test_flip_ignores_point_order(name):
         t = flipped
 
 
-@pytest.mark.parametrize("call", [
-    QuasiTriangulation.validate, QuasiTriangulation.to_json, lift,
-    lambda t: lift(t).is_connected()],
-    ids=["validate", "to_json", "lift", "lift-is_connected"])
-def test_index_builds_do_not_grow_with_size(monkeypatch, call):
+def flip_twice(first, second):
+    """Flip ``first`` outside the count, then ``second`` inside it."""
+    return (lambda t: t.flip(first)), (lambda t: t.flip(second))
+
+
+INDEX_BUILDS = {
+    "validate": (None, QuasiTriangulation.validate, {}),
+    "to_json": (None, QuasiTriangulation.to_json,
+                {"corner_slots": 1, "token_positions": 1}),
+    "lift": (None, lift, {"corner_slots": 2, "token_positions": 1}),
+    "lift-is_connected": (None, lambda t: lift(t).is_connected(),
+                          {"corner_slots": 2, "token_positions": 2}),
+    "build_quiver": (None, QuasiTriangulation.build_quiver, {}),
+    # arc 3 is the first fan arc, 2 the doubled arc, 1 the loop around it
+    "flip-quadrilateral": (None, lambda t: t.flip(3), {"token_positions": 1}),
+    "flip-doubled-to-quasi": (None, lambda t: t.flip(2), {"token_positions": 1}),
+    "flip-quasi-to-doubled": (*flip_twice(2, 2), {}),
+    "flip-enclosing-loop": (*flip_twice(2, 1), {"token_positions": 1}),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_BUILDS)
+def test_index_builds_do_not_grow_with_size(monkeypatch, name):
     """Corner and arc-end positions are indexed a fixed number of times per
-    call, however many triangles and arc ends there are."""
+    call, however many triangles and arc ends there are: validation and
+    quiver construction never, a flip at most once."""
+    prepare, call, expected = INDEX_BUILDS[name]
     builds = Counter()
-    for name in ("corner_slots", "token_positions"):
-        def counted(self, original=getattr(QuasiTriangulation, name), name=name):
-            builds[name] += 1
+    for attr in ("corner_slots", "token_positions"):
+        def counted(self, original=getattr(QuasiTriangulation, attr), attr=attr):
+            builds[attr] += 1
             return original(self)
-        monkeypatch.setattr(QuasiTriangulation, name, counted)
+        monkeypatch.setattr(QuasiTriangulation, attr, counted)
     counts = []
     for n in (10, 1000):
+        t = mobius_fan(n) if prepare is None else prepare(mobius_fan(n))
         builds.clear()
-        call(mobius_fan(n))
+        call(t)
         counts.append(dict(builds))
-    assert counts[0] == counts[1] and counts[0]
+    assert counts[0] == counts[1] == expected
+
+
+NINE = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
+        "polygon:6", "annulus-crosscap", "mobius-three-arc", "three-boundary"]
+
+
+def test_triangle_matchings_match_the_reference_on_flip_walks(monkeypatch):
+    """Every corner triple that validation, quiver construction and flips
+    try along 40-step flip walks from the nine fixtures (in every corner
+    order) gets the 8-way reference's matchings, in the same order."""
+    seen = set()
+
+    def recording(corners, original=surface._triangle_matchings):
+        seen.add(tuple(corners))
+        return original(corners)
+    monkeypatch.setattr(surface, "_triangle_matchings", recording)
+    for name in NINE:
+        rng = random.Random(name)
+        tri = named_fixture(name)
+        for _ in range(40):
+            tri.build_quiver()
+            tri = tri.flip(rng.choice(tri.internal_arcs()))
+    monkeypatch.undo()
+    assert len(seen) > 1000
+    assert any(not reference._triangle_matchings(list(c)) for c in seen)
+    for triple in seen:
+        for corners in itertools.permutations(triple):
+            assert surface._triangle_matchings(list(corners)) == \
+                reference._triangle_matchings(list(corners))
+
+
+@pytest.mark.parametrize("corners, count", [
+    # arc 1 doubled: two ways to glue its ends
+    ([((1, 0), (1, 0)), ((1, 1), (2, 0)), ((1, 1), (2, 1))], 2),
+    ([((1, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 1))], 4),
+    # the anti-self-folded triangle of mobius:1
+    ([((2, 1), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 0))], 1),
+    # no two corners share an arc
+    ([((1, 0), (2, 0)), ((3, 0), (4, 0)), ((5, 0), (6, 0))], 0),
+    # ends other than 0 and 1: any two different labels glue
+    ([((1, 5), (2, 7)), ((2, 8), (3, 2)), ((3, 9), (1, 4))], 1),
+    ([((1, 5), (2, 7)), ((2, 7), (3, 2)), ((3, 9), (1, 4))], 0),
+    ([((1, -1), (1, 2)), ((1, 3), (1, 4)), ((1, 5), (1, 6))], 8),
+], ids=["doubled-two", "doubled-four", "anti-self-folded", "none",
+        "odd-ends", "odd-ends-equal", "all-one-arc"])
+def test_triangle_matchings_match_the_reference_on_hand_built_triples(corners, count):
+    want = reference._triangle_matchings(corners)
+    assert len(want) == count
+    assert surface._triangle_matchings(corners) == want
+
+
+def swap(seq, i, j):
+    seq[i], seq[j] = seq[j], seq[i]
+
+
+# one edit each, with a diagnostic it must draw
+CORRUPTIONS = {
+    "dropped-corner": ("mobius:3", lambda t: t.corner_tri[1].pop(),
+                       "corner/walk length mismatch at point 1"),
+    "unknown-triangle": ("polygon:5", lambda t: t.corner_tri[2].__setitem__(0, 99),
+                         "corner (2,0) assigned to unknown triangle 99"),
+    "two-corners": ("polygon:6", lambda t: t.corner_tri[3].__setitem__(0, 2),
+                    "triangle 1 has 2 corners"),
+    "corners-do-not-realize": ("three-boundary", lambda t: swap(t.corner_tri[1], 1, 2),
+                               "triangle 2: corners do not realize sides"),
+    "kind-vs-doubled-side": (
+        "mobius:2", lambda t: t.triangles.__setitem__(
+            1, Triangle(1, "regular", t.triangles[1].sides)),
+        "triangle 1: kind regular vs sides (1, 2, 2)"),
+    "quasi-corner-off-loop": ("annulus-crosscap", lambda t: swap(t.corner_tri[2], 2, 3),
+                              "quasi-triangle 4: corner is not the loop's ends"),
+    "boundary-end-inside-walk": ("annulus-crosscap", lambda t: swap(t.walks[1], 0, 1),
+                                 "boundary end (6, 0) in walk interior at 1"),
+    "end-label-not-0-or-1": ("mobius:3", lambda t: t.walks[1].__setitem__(1, (3, 2)),
+                             "end (3,0) appears 0 times, expected 1"),
+    "arc-count-off-signature": (
+        "mobius:4", lambda t: setattr(t, "signature", SurfaceSignature(1, 1, 0, 5)),
+        "internal arc count 4 != 5 from signature"),
+    "unknown-boundary-component": ("mobius:3", lambda t: t.points.__setitem__(2, 5),
+                                   "point 2 on unknown boundary component 5"),
+}
+
+
+def raw_json(t) -> dict:
+    """The fields of ``t`` as triangulation JSON, without the transport
+    twists that ``to_json`` derives (and cannot derive for a broken one)."""
+    return {
+        "signature": t.signature.as_json(),
+        "arcs": [{"id": a, "kind": k} for a, k in t.arcs.items()],
+        "triangles": [{"id": tri.id, "kind": tri.kind,
+                       "sides": [{"arc": a, "twist": 0} for a in tri.sides]}
+                      for tri in t.triangles.values()],
+        "corners": {str(p): [{"arc": a, "end": e} for a, e in w]
+                    for p, w in t.walks.items()},
+        "corner_triangles": {str(p): v for p, v in t.corner_tri.items()},
+        "points": {str(p): c for p, c in t.points.items()},
+        "boundary_orientations": [t.boundary_orientation[c]
+                                  for c in sorted(t.boundary_orientation)],
+    }
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_validate_diagnostics_match_the_reference(case, tmp_path, capsys):
+    """Each one-edit corruption draws exactly the reference's diagnostics,
+    in its order, and ``quiver build --in`` refuses it with exit code 2."""
+    name, edit, wanted = CORRUPTIONS[case]
+    t = named_fixture(name)
+    edit(t)
+    diags = t.validate()
+    assert diags == reference.validate(t)
+    assert any(wanted in d for d in diags)
+    with pytest.raises(InvalidTriangulation):
+        t.build_quiver()
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(raw_json(t)))
+    code = main(["quiver", "build", "--in", str(path), "--out", str(tmp_path / "q.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+def flanks(t, arc):
+    """The triangles of the corners on either side of both ends of ``arc``."""
+    out = []
+    for e in (0, 1):
+        pt, i = t.token_positions()[(arc, e)]
+        out += [t.corner_tri[pt][i - 1], t.corner_tri[pt][i]]
+    return out
+
+
+def test_flip_refuses_flanking_corners_of_three_triangles():
+    t = polygon_fan(6)
+    pt, i = t.token_positions()[(2, 0)]
+    t.corner_tri[pt][i] = next(x for x in t.triangles if x not in flanks(t, 2))
+    with pytest.raises(InvalidTriangulation, match="flanking corners belong to"):
+        t.flip(2)
+
+
+def give_extra_corner(t, arc, owner):
+    """Assign one corner away from ``arc``'s flanks to ``owner(t, t1)``,
+    where t1 is the first of the two flanking triangles."""
+    t1, t2 = sorted(set(flanks(t, arc)))
+    pt, i = next((p, i) for p, tris in t.corner_tri.items()
+                 for i, x in enumerate(tris) if x not in (t1, t2))
+    t.corner_tri[pt][i] = owner(t, t1)
+
+
+@pytest.mark.parametrize("owner, message", [
+    (lambda t, t1: t1, "third corner not unique"),
+    (lambda t, t1: t.fresh_triangle_id(), "are not in pairs"),
+], ids=["third-corner", "marked-corners"])
+def test_flip_error_on_corners_that_do_not_close(owner, message):
+    """An extra corner of a flanking triangle, or of the id the rewrite
+    marks its corners with, stops the flip with a FlipError (not an
+    assertion, so also under ``python -O``)."""
+    t = polygon_fan(6)
+    give_extra_corner(t, 2, owner)
+    assert t.validate()
+    with pytest.raises(FlipError, match=message):
+        t.flip(2)
+
+
+def test_flip_with_negative_triangle_ids():
+    """Triangle ids may be any integers; the corners a flip rewrites are
+    marked by ids above every triangle's, so none is mistaken for them."""
+    t = polygon_fan(6)
+    ren = {x: -x for x in t.triangles}
+    neg = QuasiTriangulation(
+        t.signature, t.arcs, t.points, t.walks,
+        {p: [ren[x] for x in v] for p, v in t.corner_tri.items()},
+        [Triangle(ren[x.id], x.kind, x.sides) for x in t.triangles.values()])
+    assert neg.validate() == []
+    for arc in neg.internal_arcs():
+        flipped = neg.flip(arc)
+        assert flipped.validate() == []
+        assert flipped.build_quiver().dumps() == t.flip(arc).build_quiver().dumps()
