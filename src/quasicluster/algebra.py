@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .laurent import Context, DenominatorVector, LaurentForm, LaurentViolation
 from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
@@ -18,38 +19,73 @@ from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
 
 class Shape:
     """A quiver up to vertex names and path order: the key of
-    ``PartitionedQuiver.shape``, one representative quiver with that key and
-    the representative's vertex ids in label order.  Never edited; equal
-    only to itself."""
+    ``PartitionedQuiver.shape``, one representative quiver with that key,
+    the representative's vertex ids in label order and the labels of its
+    mutable and of its frozen vertices.  Never edited; equal only to itself."""
 
-    __slots__ = ("key", "quiver", "order")
+    __slots__ = ("key", "quiver", "order", "mutable", "frozen")
 
     def __init__(self, key: tuple, quiver: PartitionedQuiver,
                  order: tuple[int, ...]):
         self.key, self.quiver, self.order = key, quiver, order
+        frozen = [quiver.vertices[v].frozen for v in order]
+        self.mutable = tuple(j for j, f in enumerate(frozen) if not f)
+        self.frozen = tuple(j for j, f in enumerate(frozen) if f)
 
 
-@dataclass(slots=True)
+class ValueTable:
+    """Values interned as small ints, in the order first met: ``values[i]``
+    and ``ids``, value -> id.  Values are told apart by equality, which on
+    reduced values is equality of their serializations."""
+
+    __slots__ = ("values", "ids")
+
+    def __init__(self):
+        self.values, self.ids = [], {}
+
+    def intern(self, value) -> int:
+        i = self.ids.setdefault(value, len(self.values))
+        if i == len(self.values):
+            self.values.append(value)
+        return i
+
+
 class Seed:
     """A quiver with a value at every vertex.
 
     The quiver is held as a shape and this seed's vertex ids in label order:
     it is the shape's representative with the vertex labelled i renamed
     ``order[i]``, rebuilt on each access of ``quiver``, so seeds of one
-    cluster agree up to arrow ids and path order.  ``Seed(quiver, context,
-    values, frozen)`` makes the given quiver its own representative.
+    cluster agree up to arrow ids and path order.  ``ids`` holds the id in
+    ``table`` of the value at each label, frozen vertices included; the
+    read-only ``values`` is built from it on each access, in the order of
+    ``mutables``, the vertices first given values.  ``Seed(quiver, context,
+    values, frozen)`` makes the given quiver its representative.
     """
 
-    shape: Shape   # a PartitionedQuiver when constructed from a quiver
-    context: Context
-    values: dict[int, LaurentForm]
-    frozen: dict[int, LaurentForm]   # fixed value of every frozen vertex
-    order: tuple[int, ...] = ()
+    __slots__ = ("shape", "order", "ids", "table", "context", "frozen", "mutables")
 
-    def __post_init__(self):
-        if isinstance(self.shape, PartitionedQuiver):
-            key, self.order = self.shape.shape()
-            self.shape = Shape(key, self.shape, self.order)
+    def __init__(self, quiver: PartitionedQuiver, context: Context,
+                 values: dict, frozen: dict):
+        key, order = quiver.shape()
+        self.context, self.frozen, self.mutables = context, frozen, tuple(values)
+        self.shape, self.order, self.table = Shape(key, quiver, order), order, ValueTable()
+        self.ids = tuple(map(self.table.intern, map({**frozen, **values}.__getitem__, order)))
+
+    def _moved(self, shape: Shape, order: tuple, ids: tuple, table: ValueTable) -> Seed:
+        """A seed with this one's context, frozen values and mutable vertices."""
+        s = object.__new__(Seed)
+        s.context, s.frozen, s.mutables = self.context, self.frozen, self.mutables
+        s.shape, s.order, s.ids, s.table = shape, order, ids, table
+        return s
+
+    def _in(self, table: ValueTable) -> Seed:
+        """This seed with its value ids in ``table``: itself, or a copy that
+        interns its values there."""
+        if self.table is table:
+            return self
+        ids = tuple(table.intern(self.table.values[i]) for i in self.ids)
+        return self._moved(self.shape, self.order, ids, table)
 
     @property
     def quiver(self) -> PartitionedQuiver:
@@ -58,8 +94,13 @@ class Seed:
             return shape.quiver.copy()
         return shape.quiver.renamed(dict(zip(shape.order, self.order)))
 
+    @property
+    def values(self) -> MappingProxyType:
+        at, values = dict(zip(self.order, self.ids)), self.table.values
+        return MappingProxyType({v: values[at[v]] for v in self.mutables})
+
     def value_of(self, v: int):
-        return self.values[v] if v in self.values else self.frozen[v]
+        return self.table.values[self.ids[self.order.index(v)]]
 
     def cluster_key(self) -> tuple[bytes, ...]:
         return tuple(sorted(v.canonical_serialize() for v in self.values.values()))
@@ -128,21 +169,20 @@ def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
     return f"[{cls.type}] {nm(cls.t)} * {nm(cls.t)}' = {rhs}"
 
 
-def _relation_key(seed: Seed, cls: VertexClassification) -> tuple:
-    """What E / x_t depends on, up to the symmetries of E: the V-type, the
-    serialized inputs (V1: each product's two sorted, then the products
-    sorted; V3: i and k sorted, then j) and the serialized old value at t."""
-    val = seed.value_of
+def _relation_key(cls: VertexClassification, ids: tuple[int, ...]) -> tuple:
+    """What E / x_t depends on, up to the symmetries of E, for ``cls``
+    naming vertices by label: the V-type, the value ids of the inputs (V1:
+    each product's two sorted, then the products sorted; V3: i and k sorted,
+    then j) and the value id at t."""
     if cls.type == V1:
-        (a, b), (c, d) = [sorted([val(u).canonical_serialize(), val(v).canonical_serialize()])
-                          for u, v in cls.product_pairs]
+        (a, b), (c, d) = [sorted([ids[u], ids[v]]) for u, v in cls.product_pairs]
         inputs = (a, b, c, d) if (a, b) <= (c, d) else (c, d, a, b)
     elif cls.type in (V2, V4):
-        inputs = val(cls.i).canonical_serialize()
+        inputs = ids[cls.i]
     else:
-        i, k = sorted([val(cls.i).canonical_serialize(), val(cls.k).canonical_serialize()])
-        inputs = (i, k, val(cls.j).canonical_serialize())
-    return cls.type, inputs, seed.values[cls.t].canonical_serialize()
+        i, k = sorted([ids[cls.i], ids[cls.k]])
+        inputs = (i, k, ids[cls.j])
+    return cls.type, inputs, ids[cls.t]
 
 
 def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
@@ -151,25 +191,24 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
 
     The V1-V4 rules never read vertex names, so the representative of the
     seed's shape is classified and mutated at the vertex labelled like t,
-    and the classification renamed to the seed's vertices equals
-    ``seed.quiver.classify_vertex(t)``, arrow ids included.  ``memo`` is a
-    dict shared by repeated calls: shape key -> ``Shape``, each shape's row
-    of ``_transition`` results by label, and E / x_t by V-type, inputs and
-    old value.  Children of one shape key share one ``Shape``, so a memo'd
-    child equals ``seed.quiver.mutate(t)`` up to arrow ids and path order,
-    and relations that differ only by the symmetries of E share one entry.
-    Without ``memo`` the call takes the same path with a fresh one that
-    never holds the seed's shape or a relation, and the child is that
-    mutation to the byte; its shape key is not canonical (``shape(False)``,
-    in linear time), since no other call looks it up.  With ``cls``, a
-    classification the caller has made, the seed's own quiver is mutated
-    instead.
+    and the classification, kept by label, reads the seed's value ids.
+    ``memo`` is a dict shared by repeated calls: the ``ValueTable`` of the
+    ids (a seed with another table has its values interned there first),
+    shape key -> ``Shape``, each shape's row of ``_transition`` results by
+    label, and the id of E / x_t by V-type, input ids and old id.  So a
+    memo'd child equals ``seed.quiver.mutate(t)`` up to arrow ids and path
+    order, and relations that differ only by the symmetries of E share one
+    entry.  Without ``memo`` the call takes the same path with a fresh one
+    that holds the seed's table but never its shape, and the child is that
+    mutation to the byte, with a key that is not canonical (``shape(False)``,
+    in linear time).  With ``cls``, a classification the caller has made,
+    the seed's own quiver is mutated instead.
     """
     plain = memo is None
-    if plain:
-        memo = {}
+    memo = {ValueTable: seed.table} if plain else memo
+    table = memo.get(ValueTable) or memo.setdefault(ValueTable, ValueTable())
+    ids, shape, order = seed._in(table).ids, seed.shape, seed.order
     if cls is None:
-        shape, order = seed.shape, seed.order
         row = memo.get(shape)
         if row is None:   # a shape not met yet, or a copy of one met
             if not plain:   # else the child would take the seed's arrow ids
@@ -178,31 +217,30 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
         try:
             i = order.index(t)
             if row[i] is None:
-                row[i] = _transition(shape, i, memo, not plain)
+                rep = shape.quiver
+                row[i] = _transition(shape.order, rep, rep.classify_vertex(shape.order[i]),
+                                     memo, not plain)
         except ValueError:   # t is no vertex, or a ClassificationError
             seed.quiver.classify_vertex(t)   # raise it naming the seed's vertices
             raise
         cls, child, perm = row[i]
-        if order is not shape.order:
-            cls = cls.renamed(dict(zip(shape.order, order)))
-        corder = tuple(map(order.__getitem__, perm))
-        if corder == child.order:
-            corder = child.order   # then the child's classifications need no renaming
     else:
-        quiver = seed.quiver.mutate(t, cls)
-        skey, corder = quiver.shape(not plain)
-        child = Shape(skey, quiver, corder)
-    key = None if plain else _relation_key(seed, cls)
-    new_value = memo.get(key)
-    if new_value is None:
-        ex = exchange_value(seed, cls)
+        cls, child, perm = _transition(order, seed.quiver, cls, memo, not plain)
+    key = _relation_key(cls, ids)
+    new = memo.get(key)
+    if new is None:
         try:
-            new_value = memo[key] = ex.divide(seed.values[t])
+            value = exchange_value(seed, cls.renamed(order)).divide(
+                table.values[ids[cls.t]])
         except LaurentViolation as exc:
             raise LaurentViolation(
                 f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
-    return Seed(child, seed.context, {**seed.values, t: new_value}, seed.frozen,
-                corder)
+        new = memo[key] = table.intern(value)
+    corder = tuple(map((order + (t,)).__getitem__, perm))
+    if corder == child.order:
+        corder = child.order   # then ``quiver`` copies the representative
+    return seed._moved(child, corder, tuple(map((ids + (new,)).__getitem__, perm)),
+                       table)
 
 
 class LimitExceeded(RuntimeError):
@@ -333,19 +371,13 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     exists then.  Raises SeedMismatch unless the two quivers agree under the
     map, frozen vertices mapping to themselves, up to arrow ids and path
     order: the same (id, frozen, kind) for every vertex and the same
-    multiset of path itineraries.  An equal shape key with the map taking
-    the child's vertex order to the stored one shows that at once.
+    multiset of path itineraries.
     """
-    at = {lf.canonical_serialize(): v for v, lf in stored.values.items()}
-    if len(at) != len(stored.values):
+    values = stored.values
+    at = {lf.canonical_serialize(): v for v, lf in values.items()}
+    if len(at) != len(values):
         return None
     rename = {v: at[lf.canonical_serialize()] for v, lf in child.values.items()}
-    get = rename.get
-    a, b = child.shape, stored.shape
-    if (a is b or a.key == b.key) and \
-            all(get(v, v) == u for v, u in zip(child.order, stored.order)):
-        return rename
-    # two labellings of one key differ by an automorphism: compare quivers
     mine, theirs = child.quiver.renamed(rename), stored.quiver
     if (mine.vertices, sorted(mine.itineraries())) != \
             (theirs.vertices, sorted(theirs.itineraries())):
@@ -354,22 +386,22 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     return rename
 
 
-def _transition(shape: Shape, i: int, memo: dict, canonical: bool) -> tuple:
-    """Classify and mutate the representative of ``shape`` at its vertex
-    labelled i: the classification, the child's shape (interned in
-    ``memo``, key -> shape, its key canonical or not) and the labels of
-    ``shape`` in the child's vertex order, one byte each where that
-    suffices."""
-    rep = shape.quiver
-    cls = rep.classify_vertex(shape.order[i])
-    quiver = rep.mutate(cls.t, cls)
-    key, order = quiver.shape(canonical)
+def _transition(order: tuple[int, ...], quiver: PartitionedQuiver,
+                cls: VertexClassification, memo: dict, canonical: bool) -> tuple:
+    """Mutate ``quiver``, its vertex ids in label order ``order``, by
+    ``cls``: the classification by label, the child's shape (interned in
+    ``memo``, key -> shape, its key canonical or not) and, at each label of
+    the child, the label of its vertex in ``order`` or len(order) at the
+    mutated vertex, one byte each where that suffices."""
+    quiver = quiver.mutate(cls.t, cls)
+    key, corder = quiver.shape(canonical)
     child = memo.get(key)
     if child is None:
-        child = memo[key] = Shape(key, quiver, order)
-    label = dict(zip(shape.order, range(len(shape.order))))
-    perm = [label[v] for v in order]
-    return cls, child, bytes(perm) if len(perm) <= 256 else tuple(perm)
+        child = memo[key] = Shape(key, quiver, corder)
+    label = dict(zip(order, range(len(order))))
+    perm = [label[v] for v in corder]
+    perm[corder.index(cls.t)] = len(order)
+    return cls.renamed(label), child, bytes(perm) if len(perm) < 256 else tuple(perm)
 
 
 def explore(seed: Seed, max_nodes: int = 100000,
@@ -382,24 +414,31 @@ def explore(seed: Seed, max_nodes: int = 100000,
     vertices in ascending order.
 
     One ``mutate_seed`` memo serves this call and no other, so separate
-    calls on the same seed do the same work.  Each edge of the exchange
-    graph is computed once, since mutation is an involution.  A cluster
-    first created from k by mutating at t records k as its neighbour at t.
-    A cluster found again from k at t keeps the seed of the path that
-    created it, so its vertex back to k is the vertex u whose value equals
-    the new value at t (``match_seeds``, which raises SeedMismatch if the
-    stored seed's quiver differs from the new one under that value map).
-    That edge is held until the cluster is expanded and only then recorded
-    at u, the moment it would be computed, so the graph, partial graphs
-    included, is the one that mutating at u would give.  Held edges of
-    clusters never expanded are dropped; a cluster that repeats a value
-    holds none.
+    calls on the same seed do the same work.  Clusters are told apart by
+    their sorted mutable value ids in the memo's table; a new one gets its
+    key of sorted serializations once.  Each edge of the exchange graph is
+    computed once, since mutation is an involution.  A cluster first created
+    from k by mutating at t records k as its neighbour at t.  A cluster
+    found again from k at t keeps the seed of the path that created it, so
+    its vertex back to k is the vertex u whose value equals the new value
+    at t: the one labelled like t if both seeds have one shape, equal ids
+    and their frozen vertices at the same labels, else by ``match_seeds``
+    (which raises SeedMismatch if the stored seed's quiver differs from the
+    new one under that value map).  That edge is held until the cluster is
+    expanded and only then recorded at u, the moment it would be computed,
+    so the graph, partial graphs included, is the one that mutating at u
+    would give.  Held edges of clusters never expanded are dropped; a
+    cluster that repeats a value holds none.
     """
     g = ExchangeGraph()
-    memo: dict = {}
+    table = ValueTable()
+    memo: dict = {ValueTable: table}
+    vals = table.values
+    found: dict = {}    # sorted mutable value ids -> cluster key
     pending: dict = {}  # unexpanded cluster -> {vertex: neighbour cluster}
     mutables = seed.quiver.mutable_ids()
-    k0 = seed.cluster_key()
+    seed = seed._in(table)
+    k0 = found[tuple(sorted([seed.ids[j] for j in seed.shape.mutable]))] = seed.cluster_key()
     g.nodes[k0] = seed
     g.paths[k0] = ()
     g.root = k0
@@ -420,21 +459,30 @@ def explore(seed: Seed, max_nodes: int = 100000,
             if t in held:
                 nbrs[t] = held[t]   # found from that neighbour already
                 continue
-            child = mutate_seed(s, t, memo=memo)
-            ck = child.cluster_key()
-            if ck not in g.nodes:
+            child = mutate_seed(s, t, memo=memo)._in(table)
+            ids = child.ids
+            cids = tuple(sorted([ids[j] for j in child.shape.mutable]))
+            ck = found.get(cids)
+            if ck is None:
                 if len(g.nodes) >= max_nodes:
                     raise LimitExceeded(f"node budget {max_nodes} exhausted", g)
+                ck = found[cids] = tuple(sorted([vals[i].canonical_serialize() for i in cids]))
                 g.nodes[ck] = child
                 g.paths[ck] = child_path = path + (t,)
                 g.adjacency[ck] = {t: k}
                 queue.append(ck)
-                for lf in child.values.values():
-                    g.variables.setdefault(lf.canonical_serialize(), (lf, child_path))
+                new = ids[child.order.index(t)]
+                g.variables.setdefault(vals[new].canonical_serialize(), (vals[new], child_path))
             elif ck not in g.complete:   # found again: hold the edge back to k
-                rename = match_seeds(child, g.nodes[ck])
-                if rename is not None:
-                    pending.setdefault(ck, {})[rename[t]] = k
+                stored = g.nodes[ck]
+                a, b = child.order, stored.order
+                if child.shape is stored.shape and ids == stored.ids and \
+                        all(a[j] == b[j] for j in child.shape.frozen):   # one labelling
+                    u = b[a.index(t)] if len(set(cids)) == len(cids) else None
+                else:
+                    u = (match_seeds(child, stored) or {}).get(t)
+                if u is not None:
+                    pending.setdefault(ck, {})[u] = k
             nbrs[t] = ck
         g.complete.add(k)
     if len(g.complete) != len(g.nodes):

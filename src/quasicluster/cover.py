@@ -75,7 +75,8 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
             f"quasi-arcs {base.quasi_arcs()} present; the lift of a quasi-arc "
             "cannot be part of any triangulation")
     base.require_valid()
-    rho = base.arc_transport()
+    slots_of = base.corner_slots()
+    rho = base._arc_transport(slots_of)
 
     arc_lift = {}
     for i, (a, s) in enumerate(sorted((a, s) for a in base.arcs for s in (0, 1))):
@@ -105,7 +106,6 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
     corner_tri: dict[int, list[int]] = {new: [0] * (len(w) - 1)
                                         for new, w in walks.items()}
     next_tri = 1
-    slots_of = base.corner_slots()
     for tri in sorted(base.triangles.values(), key=lambda t: t.id):
         if tri.kind == TRI_QUASI:
             raise QuasiArcPresent("quasi-triangle present")

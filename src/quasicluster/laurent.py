@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import cache, reduce
-from operator import or_
+from operator import add, or_, sub
 from typing import Sequence
 
 Monomial = tuple[int, ...]
@@ -591,13 +591,13 @@ class DenominatorVector:
         return len(self.vec)
 
     def __add__(self, other: "DenominatorVector") -> "DenominatorVector":
-        return DenominatorVector(tuple(max(a, b) for a, b in zip(self.vec, other.vec)))
+        return DenominatorVector(map(max, self.vec, other.vec))
 
     def __mul__(self, other: "DenominatorVector") -> "DenominatorVector":
-        return DenominatorVector(tuple(a + b for a, b in zip(self.vec, other.vec)))
+        return DenominatorVector(map(add, self.vec, other.vec))
 
     def divide(self, other: "DenominatorVector") -> "DenominatorVector":
-        return DenominatorVector(tuple(a - b for a, b in zip(self.vec, other.vec)))
+        return DenominatorVector(map(sub, self.vec, other.vec))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DenominatorVector) and self.vec == other.vec

@@ -339,15 +339,17 @@ class QuasiTriangulation:
 
     # -- orientation transport -------------------------------------------------------
 
-    def side_instance_map(self) -> dict[tuple[int, int, int], tuple]:
+    def side_instance_map(self, slots_of=None) -> dict[tuple[int, int, int], tuple]:
         """Map (point, corner idx, member 0|1) -> side instance key.
 
         A side instance is one side of one triangle; its two corner slots sit
         at opposite ends of the side's arc.  Quasi-triangles contribute the
-        loop side as a single instance over their one corner.
+        loop side as a single instance over their one corner.  ``slots_of``
+        is ``corner_slots()``, built here unless the caller has it.
         """
         inst: dict[tuple[int, int, int], tuple] = {}
-        slots_of = self.corner_slots()
+        if slots_of is None:
+            slots_of = self.corner_slots()
         for tri in self.triangles.values():
             slots = slots_of[tri.id]
             if tri.kind == TRI_QUASI:
@@ -372,7 +374,11 @@ class QuasiTriangulation:
         gluing is orientation-reversing (relative to the stored walk
         directions; boundary arcs transport trivially by the walk convention).
         """
-        inst = self.side_instance_map()
+        return self._arc_transport(self.corner_slots())
+
+    def _arc_transport(self, slots_of) -> dict[int, int]:
+        """``arc_transport()`` from the caller's ``corner_slots()``."""
+        inst = self.side_instance_map(slots_of)
         position = self.token_positions()
         out: dict[int, int] = {}
         for arc, kind in self.arcs.items():
@@ -568,14 +574,16 @@ class QuasiTriangulation:
     @classmethod
     def from_json(cls, data: dict) -> "QuasiTriangulation":
         """Inverse of ``to_json``; raises ValueError naming the field of an
-        entry that is not an integer or an id that repeats, or when
-        ``boundary_orientations`` is not one 0 or 1 per boundary component."""
+        entry that is not an integer, an arc kind that is none of the three
+        or an id that repeats, or when ``boundary_orientations`` is not one 0
+        or 1 per boundary component."""
         sig = None
         if data.get("signature"):
             s = data["signature"]
             sig = SurfaceSignature(*(_json_int(s[k], f"signature {k}")
                                      for k in "gbpc"))
-        arcs = [(_json_int(a["id"], "arc id"), a["kind"]) for a in data["arcs"]]
+        arcs = [(_json_int(a["id"], "arc id"), _json_arc_kind(a["kind"]))
+                for a in data["arcs"]]
         _json_unique((a for a, _ in arcs), "arc id")
         points = {int(p): _json_int(comp, "boundary component")
                   for p, comp in data["points"].items()}
@@ -603,6 +611,13 @@ class QuasiTriangulation:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
+
+
+def _json_arc_kind(value) -> str:
+    if value not in (BOUNDARY, REGULAR, QUASIARC):
+        raise ValueError(f"arc kind must be {BOUNDARY!r}, {REGULAR!r} or "
+                         f"{QUASIARC!r}, not {value!r}")
+    return value
 
 
 def _assign_corners(walks, triangles) -> dict[int, list[int]]:

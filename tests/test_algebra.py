@@ -12,7 +12,7 @@ from quasicluster.algebra import (LimitExceeded, Seed, SeedMismatch,
                                   polygon_variable_count, relation_text,
                                   unistructurality_scan)
 from quasicluster.cli import main
-from quasicluster.laurent import LaurentForm, LaurentViolation
+from quasicluster.laurent import DenominatorVector, LaurentForm, LaurentViolation
 from quasicluster.pquiver import (PartitionedQuiver, Unclassifiable,
                                   VertexClassification)
 from quasicluster.surface import (annulus_crosscap, mobius_fan, named_fixture,
@@ -22,9 +22,7 @@ from quasicluster.surface import (annulus_crosscap, mobius_fan, named_fixture,
 def all_ones_seed(quiver):
     seed = initial_seed(quiver, coeff_free=True)
     one = LaurentForm.one(seed.context.nvars)
-    for v in seed.values:
-        seed.values[v] = one
-    return seed
+    return Seed(quiver, seed.context, dict.fromkeys(seed.values, one), seed.frozen)
 
 
 def test_v3_exchange_arithmetic():
@@ -42,7 +40,7 @@ def test_v1_exchange_arithmetic():
     seed = all_ones_seed(q)
     t = q.mutable_ids()[0]
     two = LaurentForm.constant(2, seed.context.nvars)
-    seed.values[t] = two
+    seed = Seed(q, seed.context, {**seed.values, t: two}, seed.frozen)
     cls = q.classify_vertex(t)
     assert cls.type == "V1"
     assert exchange_value(seed, cls) == two
@@ -571,22 +569,120 @@ def test_explore_shares_quivers_and_transitions_per_call(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def explore_memo(monkeypatch, fixture, **seed_kwargs):
+    """The memo that one exploration of ``fixture`` hands to mutate_seed."""
+    memos, original = [], algebra.mutate_seed
+
+    def recorded(seed, t, *args, **kwargs):
+        memos.append(kwargs["memo"])
+        return original(seed, t, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "mutate_seed", recorded)
+        explored(fixture, 300, **seed_kwargs)
+    assert all(m is memos[0] for m in memos)
+    return memos[0]
+
+
+@pytest.mark.parametrize("fixture", ["mobius:3", "annulus-crosscap"])
+def test_mutate_seed_interns_seeds_of_another_table(monkeypatch, fixture):
+    # the seeds of one exploration hold ids of its table; a fresh memo and the
+    # memo of another exploration of the same quivers with other values (no
+    # coefficients) intern their values anew, and the children agree with
+    # plain mutation: the same values, and the same quiver up to arrow ids
+    # and path order, which a memo's shapes fix
+    g = explored(fixture, 300)
+    other = explore_memo(monkeypatch, fixture, coeff_free=True)
+    table, size = other[algebra.ValueTable], len(other[algebra.ValueTable].values)
+    for k in sorted(g.nodes)[:60]:
+        s = g.nodes[k]
+        for t in s.quiver.mutable_ids():
+            plain = mutate_seed(s, t)
+            assert plain.table is s.table   # a plain call adds to the seed's table
+            for memo in ({}, other):
+                child = mutate_seed(s, t, memo=memo)
+                assert child.table is memo[algebra.ValueTable] is not s.table
+                assert child.values == plain.values
+                assert quiver_shape(child.quiver) == quiver_shape(plain.quiver)
+    assert len(table.values) > size
+
+
+def test_explore_of_hand_edited_values():
+    # every value 1 (``all_ones_seed``): clusters repeat values, so no edge is
+    # held back by value, and the graph is the one explore gave before values
+    # were interned; on mobius:3 the value map does not determine the seed
+    g = explore(all_ones_seed(mobius_fan(2).build_quiver()))
+    data = g.to_json()
+    assert [n["witness_path"] for n in data["nodes"]] == \
+        [[], [1], [1, 2, 1, 2], [1, 2], [1, 2, 1]]
+    assert [(e["a"], e["b"], e["vertex"]) for e in data["edges"]] == \
+        [(0, 0, 2), (0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 4, 2), (3, 4, 1)]
+    assert data["variables"] == ["1", "2", "5"] and data["closed"]
+    assert all(len(set(k)) < len(k) for k in (g.root, g.sorted_keys()[-1]))
+    with pytest.raises(SeedMismatch):
+        explore(all_ones_seed(mobius_fan(3).build_quiver()))
+
+
+def test_values_and_variables_keep_their_order():
+    # Seed.values lists the mutable vertices in the order they were given,
+    # children keep it, explore lists the root's variables first in it, and
+    # the map is read-only: a new value needs a new Seed
+    seed = initial_seed(mobius_fan(3).build_quiver())
+    ids = seed.quiver.mutable_ids()
+    assert list(seed.values) == list(mutate_seed(seed, ids[0]).values) == ids
+    ids.reverse()
+    hand = Seed(seed.quiver, seed.context, {v: seed.values[v] for v in ids},
+                seed.frozen)
+    assert list(hand.values) == list(mutate_seed(hand, ids[0]).values) == ids
+    g = explore(hand)
+    assert list(g.variables.items())[:3] == \
+        [(hand.values[v].canonical_serialize(), (hand.values[v], ())) for v in ids]
+    with pytest.raises(TypeError):
+        hand.values[ids[0]] = seed.values[ids[1]]
+
+
+def test_explore_serializes_only_for_cluster_keys(monkeypatch):
+    # values are interned by equality, so explore serializes only to build
+    # the byte keys of the graph: each new cluster's key (one per mutable
+    # vertex) and its new variable, and the root's key and variables.  A
+    # classification is renamed once to labels per transition and once back
+    # to the seed's vertices per exchange_value call.  Before values were
+    # interned this run made 67,679 serializations (about 34 per node) and
+    # 3,609 renamings.
+    seed = initial_seed(annulus_crosscap().build_quiver(), coeff_free=True,
+                        tracking="denominator")
+    serialized = counting(monkeypatch, DenominatorVector, "canonical_serialize")
+    renamed = counting(monkeypatch, VertexClassification, "renamed")
+    exchanges = counting(monkeypatch, algebra, "exchange_value")
+    classified = counting(monkeypatch, PartitionedQuiver, "classify_vertex")
+    with pytest.raises(LimitExceeded) as err:
+        explore(seed, max_nodes=2000)
+    nodes, mutable = err.value.graph.node_count(), len(seed.values)
+    assert serialized[0] == (nodes - 1) * (mutable + 1) + 2 * mutable == 12004
+    assert renamed[0] == exchanges[0] + classified[0] == 1788
+
+
 @pytest.mark.parametrize("tracking", ["exact", "denominator"])
 def test_explore_gives_each_seed_its_own_classification_and_child(
         monkeypatch, tracking):
     # the classification and child that mutate_seed takes from its memo are
-    # those of the seed's own quiver
+    # those of the seed's own quiver, and the value ids it keys the relation
+    # by are the seed's values in the memo's table
     original_key, original = algebra._relation_key, algebra.mutate_seed
-    keys, calls = [0], [0]
+    keys, calls, current = [0], [0], []
 
-    def checked_key(seed, cls):
+    def checked_key(cls, ids):
         # every mutation reads its relation key, memo hits included
         keys[0] += 1
-        assert cls == seed.quiver.classify_vertex(cls.t)
-        return original_key(seed, cls)
+        seed, table = current[-1]
+        named = cls.renamed(seed.order)
+        assert named == seed.quiver.classify_vertex(named.t)
+        assert [table.values[i] for i in ids] == list(map(seed.value_of, seed.order))
+        return original_key(cls, ids)
 
     def checked(seed, t, *args, **kwargs):
         calls[0] += 1
+        current.append((seed, kwargs["memo"][algebra.ValueTable]))
         made = original(seed, t, *args, **kwargs)
         assert quiver_shape(made.quiver) == quiver_shape(seed.quiver.mutate(t))
         return made
@@ -769,7 +865,9 @@ def test_laurent_violation_aborts_loudly():
     q = mobius_fan(2).build_quiver()
     seed = initial_seed(q, coeff_free=True)
     n = seed.context.nvars
-    seed.values[2] = LaurentForm.variable(0, n) + LaurentForm.constant(7, n)
+    seed = Seed(q, seed.context,
+                {**seed.values, 2: LaurentForm.variable(0, n) + LaurentForm.constant(7, n)},
+                seed.frozen)
     with pytest.raises(LaurentViolation):
         mutate_seed(seed, 2)
 

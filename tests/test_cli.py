@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 
@@ -347,6 +346,20 @@ def test_fixture_above_size_limit_exits_2_at_once(capsys):
     assert "Traceback" not in err and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name", ["mobius:3", "polygon:5"])
+def test_quiver_build_names_an_unknown_arc_kind(tmp_path, capsys, name):
+    data = named_fixture(name).to_json()
+    data["arcs"][-1]["kind"] = "banana"
+    tpath = tmp_path / "t.json"
+    tpath.write_text(json.dumps(data))
+    code, out, err = run(capsys, "quiver", "build", "--in", str(tpath),
+                         "--out", str(tmp_path / "q.json"))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "arc kind" in err and "'banana'" in err
+    assert not (tmp_path / "q.json").exists()
+
+
 def test_exponent_overflow_exits_2_without_traceback(capsys, monkeypatch):
     """Every cluster variable of the initial seed replaced by x1^(2^31 - 1):
     the first exchange product passes the exponent limit."""
@@ -356,7 +369,7 @@ def test_exponent_overflow_exits_2_without_traceback(capsys, monkeypatch):
         seed = original(quiver, **kwargs)
         n = seed.context.nvars
         top = LaurentForm(Polynomial(n, {(EXPONENT_LIMIT,) + (0,) * (n - 1): 1}))
-        return dataclasses.replace(seed, values=dict.fromkeys(seed.values, top))
+        return Seed(quiver, seed.context, dict.fromkeys(seed.values, top), seed.frozen)
 
     monkeypatch.setattr(cli, "initial_seed", at_limit)
     code, _, err = run(capsys, "explore", "--fixture", "mobius:3", "--coeff-free")

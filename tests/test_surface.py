@@ -183,6 +183,20 @@ def test_json_roundtrip_without_corner_field():
     assert back.build_quiver().canonical_form() == tri.build_quiver().canonical_form()
 
 
+@pytest.mark.parametrize("name", ["mobius:3", "polygon:5"])
+def test_from_json_names_an_unknown_arc_kind(name):
+    # each arc in turn, boundary, regular and quasi alike: validate() would
+    # report a side-slot count or a walk end, not the kind
+    data = named_fixture(name).to_json()
+    assert {a["kind"] for a in data["arcs"]} >= {"boundary", "regular"}
+    for arc in data["arcs"]:
+        kind, arc["kind"] = arc["kind"], "banana"
+        with pytest.raises(ValueError, match="^arc kind must be .*, not 'banana'$"):
+            QuasiTriangulation.from_json(data)
+        arc["kind"] = kind
+    assert QuasiTriangulation.from_json(data).validate() == []
+
+
 @pytest.mark.parametrize("make, n", [(mobius_fan, 400), (polygon_fan, 400),
                                      (mobius_fan, 1000)])
 def test_corner_field_is_rebuilt_for_large_fans(make, n):
@@ -266,9 +280,9 @@ INDEX_BUILDS = {
     "validate": (None, QuasiTriangulation.validate, {}),
     "to_json": (None, QuasiTriangulation.to_json,
                 {"corner_slots": 1, "token_positions": 1}),
-    "lift": (None, lift, {"corner_slots": 2, "token_positions": 1}),
+    "lift": (None, lift, {"corner_slots": 1, "token_positions": 1}),
     "lift-is_connected": (None, lambda t: lift(t).is_connected(),
-                          {"corner_slots": 2, "token_positions": 2}),
+                          {"corner_slots": 1, "token_positions": 2}),
     "build_quiver": (None, QuasiTriangulation.build_quiver, {}),
     # arc 3 is the first fan arc, 2 the doubled arc, 1 the loop around it
     "flip-quadrilateral": (None, lambda t: t.flip(3), {"token_positions": 1}),
