@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .laurent import Context, DenominatorVector, LaurentForm, LaurentViolation
 from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
@@ -251,15 +251,22 @@ class LimitExceeded(RuntimeError):
         self.graph = graph
 
 
-@dataclass
 class ExchangeGraph:
-    nodes: dict[tuple, Seed] = field(default_factory=dict)
-    adjacency: dict[tuple, dict[int, tuple]] = field(default_factory=dict)
-    complete: set = field(default_factory=set)
-    paths: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
-    variables: dict[bytes, tuple[LaurentForm, tuple[int, ...]]] = field(default_factory=dict)
-    root: tuple | None = None
-    closed: bool = False
+    def __init__(self, nodes=None, adjacency=None, complete=None, paths=None,
+                 variables=None, root=None, closed=False):
+        self.nodes: dict[tuple, Seed] = {} if nodes is None else nodes
+        self.adjacency: dict[tuple, dict[int, tuple]] = {} if adjacency is None else adjacency
+        self.complete: set = set() if complete is None else complete
+        self.paths: dict[tuple, tuple[int, ...]] = {} if paths is None else paths
+        self.variables: dict[bytes, tuple[LaurentForm, tuple[int, ...]]] = (
+            {} if variables is None else variables)
+        self.root, self.closed = root, closed
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"ExchangeGraph({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -510,8 +517,7 @@ def polygon_variable_count(n1: int) -> int:
     return num // 2
 
 
-@dataclass
-class PositivityReport:
+class PositivityReport(NamedTuple):
     ok: bool
     checked: int
     failures: list[tuple[str, str, tuple[int, ...]]]
@@ -531,8 +537,7 @@ def check_laurent_positive(graph: ExchangeGraph) -> PositivityReport:
     return PositivityReport(not failures, len(graph.variables), failures)
 
 
-@dataclass
-class ScanEntry:
+class ScanEntry(NamedTuple):
     m: int
     family: str          # "A" or "D"
     n: int               # integral root
@@ -544,8 +549,7 @@ class ScanEntry:
         return self.family_count == self.mobius_count
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     m_max: int
     entries: list[ScanEntry]
 

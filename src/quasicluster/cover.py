@@ -7,7 +7,7 @@ opposite sheets.  The deck involution swaps the two lifts of everything.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pquiver import Arrow, PartitionedQuiver, Vertex
 from .surface import (InvalidTriangulation, QuasiTriangulation, Triangle,
@@ -27,8 +27,7 @@ def _find(parent: dict, x):
     return x
 
 
-@dataclass
-class DoubleCover:
+class DoubleCover(NamedTuple):
     base: QuasiTriangulation
     lifted: QuasiTriangulation
     arc_lift: dict[tuple[int, int], int]     # (base arc, sheet) -> lifted arc

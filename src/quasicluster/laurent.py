@@ -188,7 +188,9 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.nvars == other.nvars and self._t == other._t
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self._t.items())))
+        e = self._lay.exps   # packed x_i and x_(i+61) hash alike; their bit lengths differ
+        return hash((self.nvars, frozenset([((m & e).bit_length(), m, c)
+                                            for m, c in self._t.items()])))
 
     # arithmetic ---------------------------------------------------------
 

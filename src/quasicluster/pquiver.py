@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 ORDINARY = "ordinary"
@@ -36,22 +36,19 @@ class AmbiguousClosure(ClassificationError):
     """More than one candidate closing pair; refusing to guess."""
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     frozen: bool = False
     kind: str = ORDINARY
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: int
     src: int
     tgt: int
 
 
-@dataclass(frozen=True, slots=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     """Bound roles for one of the four local configurations.
 
     ``product_pairs`` lists the two (vertex, vertex) products whose sum is the

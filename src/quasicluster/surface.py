@@ -16,7 +16,7 @@ corners against its base side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 from .pquiver import (ORDINARY, QUASI, Arrow, PartitionedQuiver, Vertex,
                       _json_int, _json_unique)
 
@@ -47,8 +47,7 @@ class FlipError(RuntimeError):
     """The local rewrite could not be completed unambiguously."""
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
+class SurfaceSignature(NamedTuple):
     """g crosscaps, b boundary components, p punctures, c boundary points."""
 
     g: int
@@ -85,8 +84,7 @@ def euler_characteristic_nonorientable(k: int, boundaries: int = 0) -> int:
     return 2 - k - boundaries
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     id: int
     kind: str
     sides: tuple[int, ...]  # arc ids; doubled arc listed twice; quasi: (loop, quasi)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from . import surface
 from .algebra import (ExchangeGraph, LimitExceeded, Seed, check_laurent_positive,
@@ -19,11 +19,10 @@ from .pquiver import Arrow, PartitionedQuiver, Vertex
 from .surface import mobius_fan, mobius_three_arc, annulus_crosscap, polygon_fan
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
-    lines: list[str] = field(default_factory=list)
+    lines: Sequence[str] = ()
 
     def report(self) -> str:
         head = f"suite {self.name}: {'PASS' if self.ok else 'FAIL'}"

@@ -17,6 +17,7 @@ from quasicluster.pquiver import (PartitionedQuiver, Unclassifiable,
                                   VertexClassification)
 from quasicluster.surface import (annulus_crosscap, mobius_fan, named_fixture,
                                   polygon_fan)
+from test_pquiver import reversed_copy
 
 
 def all_ones_seed(quiver):
@@ -727,6 +728,26 @@ def test_mutate_seed_memo_serves_a_relabelled_copy(monkeypatch):
         assert plain.quiver.to_json() == s.quiver.mutate(t).to_json()
         assert quiver_shape(child.quiver) == quiver_shape(plain.quiver)
         assert child.values == plain.values
+
+
+def test_mutate_seed_memo_shares_a_v3_relation_with_i_and_k_swapped(monkeypatch):
+    # E = (x_i + x_k)^2 + x_i x_j^2 x_k is symmetric in i and k, so a copy of
+    # the quiver with the path through t reversed, classified with i and k
+    # swapped, must hit the memo entry of the original's relation
+    q = annulus_crosscap().build_quiver()
+    t = next(v for v in q.mutable_ids() if q.classify_vertex(v).type == "V3")
+    cls = q.classify_vertex(t)
+    copies = (reversed_copy(q, random.Random(s)) for s in range(20))
+    copy = next(c for c in copies if (c.classify_vertex(t).i, c.classify_vertex(t).k)
+                == (cls.k, cls.i))
+    seed = initial_seed(q)
+    twin = Seed(copy, seed.context, dict(seed.values), seed.frozen)
+    assert twin.shape.key != seed.shape.key   # a row of its own, classified anew
+    exchanges = counting(monkeypatch, algebra, "exchange_value")
+    memo = {}
+    children = [mutate_seed(s, t, memo=memo) for s in (seed, twin)]
+    assert exchanges[0] == 1
+    assert children[0].values[t] == children[1].values[t] == mutate_seed(seed, t).values[t]
 
 
 @pytest.mark.parametrize("memo", [None, {}], ids=["plain", "memo"])
