@@ -9,6 +9,7 @@ multisets of canonical variable serializations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from types import MappingProxyType
 from typing import NamedTuple
@@ -195,7 +196,10 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
     ``memo`` is a dict shared by repeated calls: the ``ValueTable`` of the
     ids (a seed with another table has its values interned there first),
     shape key -> ``Shape``, each shape's row of ``_transition`` results by
-    label, and the id of E / x_t by V-type, input ids and old id.  So a
+    label, and the id of E / x_t by V-type, input ids and old id.  Mutation
+    is an involution, so the transition from shape S at label i to C at j
+    fills C's empty entry at j with S and the inverse permutation; its first
+    use classifies C's representative at j but mutates no quiver.  So a
     memo'd child equals ``seed.quiver.mutate(t)`` up to arrow ids and path
     order, and relations that differ only by the symmetries of E share one
     entry.  Without ``memo`` the call takes the same path with a fresh one
@@ -216,10 +220,10 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
             row = memo.setdefault(shape, [None] * len(order))
         try:
             i = order.index(t)
-            if row[i] is None:
+            if row[i] is None or row[i][0] is None:   # not met, or met as an inverse
                 rep = shape.quiver
                 row[i] = _transition(shape.order, rep, rep.classify_vertex(shape.order[i]),
-                                     memo, not plain)
+                                     memo, not plain, shape, row[i])
         except ValueError:   # t is no vertex, or a ClassificationError
             seed.quiver.classify_vertex(t)   # raise it naming the seed's vertices
             raise
@@ -394,20 +398,32 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
 
 
 def _transition(order: tuple[int, ...], quiver: PartitionedQuiver,
-                cls: VertexClassification, memo: dict, canonical: bool) -> tuple:
+                cls: VertexClassification, memo: dict, canonical: bool,
+                shape: Shape | None = None, inverse: tuple | None = None) -> tuple:
     """Mutate ``quiver``, its vertex ids in label order ``order``, by
     ``cls``: the classification by label, the child's shape (interned in
     ``memo``, key -> shape, its key canonical or not) and, at each label of
     the child, the label of its vertex in ``order`` or len(order) at the
-    mutated vertex, one byte each where that suffices."""
+    mutated vertex, one byte each where that suffices.  With canonical keys,
+    ``shape``, that of ``quiver``, fills the child's empty entry at t with
+    the way back; ``inverse``, such an entry, lacks only ``cls``."""
+    label = dict(zip(order, range(len(order))))
+    if inverse is not None:
+        return cls.renamed(label), inverse[1], inverse[2]
     quiver = quiver.mutate(cls.t, cls)
     key, corder = quiver.shape(canonical)
     child = memo.get(key)
     if child is None:
         child = memo[key] = Shape(key, quiver, corder)
-    label = dict(zip(order, range(len(order))))
     perm = [label[v] for v in corder]
     perm[corder.index(cls.t)] = len(order)
+    if canonical and shape is not None:
+        clabel = dict(zip(corder, range(len(order))))
+        back = memo.setdefault(child, [None] * len(order))
+        if back[clabel[cls.t]] is None:
+            inv = [clabel[v] for v in order]
+            inv[label[cls.t]] = len(order)
+            back[clabel[cls.t]] = None, shape, bytes(inv) if len(inv) < 256 else tuple(inv)
     return cls.renamed(label), child, bytes(perm) if len(perm) < 256 else tuple(perm)
 
 
@@ -422,8 +438,9 @@ def explore(seed: Seed, max_nodes: int = 100000,
 
     One ``mutate_seed`` memo serves this call and no other, so separate
     calls on the same seed do the same work.  Clusters are told apart by
-    their sorted mutable value ids in the memo's table; a new one gets its
-    key of sorted serializations once.  Each edge of the exchange graph is
+    their sorted mutable value ids in the memo's table.  Each variable is
+    serialized once, and a new cluster's key of sorted serializations is its
+    parent's with the one at t swapped.  Each edge of the exchange graph is
     computed once, since mutation is an involution.  A cluster first created
     from k by mutating at t records k as its neighbour at t.  A cluster
     found again from k at t keeps the seed of the path that created it, so
@@ -443,14 +460,17 @@ def explore(seed: Seed, max_nodes: int = 100000,
     vals = table.values
     found: dict = {}    # sorted mutable value ids -> cluster key
     pending: dict = {}  # unexpanded cluster -> {vertex: neighbour cluster}
+    text: dict = {}     # value id -> serialization, for each variable
     mutables = seed.quiver.mutable_ids()
     seed = seed._in(table)
-    k0 = found[tuple(sorted([seed.ids[j] for j in seed.shape.mutable]))] = seed.cluster_key()
+    for lf in seed.values.values():
+        ser = text.setdefault(table.intern(lf), lf.canonical_serialize())
+        g.variables.setdefault(ser, (lf, ()))
+    root = [seed.ids[j] for j in seed.shape.mutable]
+    k0 = found[tuple(sorted(root))] = tuple(sorted([text[i] for i in root]))
     g.nodes[k0] = seed
     g.paths[k0] = ()
     g.root = k0
-    for lf in seed.values.values():
-        g.variables.setdefault(lf.canonical_serialize(), (lf, ()))
     queue = deque([k0])
     while queue:
         k = queue.popleft()
@@ -473,13 +493,18 @@ def explore(seed: Seed, max_nodes: int = 100000,
             if ck is None:
                 if len(g.nodes) >= max_nodes:
                     raise LimitExceeded(f"node budget {max_nodes} exhausted", g)
-                ck = found[cids] = tuple(sorted([vals[i].canonical_serialize() for i in cids]))
+                new = ids[child.order.index(t)]
+                if new not in text:
+                    text[new] = vals[new].canonical_serialize()
+                key = list(k)
+                del key[bisect_left(key, text[s.ids[s.order.index(t)]])]
+                insort(key, text[new])
+                ck = found[cids] = tuple(key)
                 g.nodes[ck] = child
                 g.paths[ck] = child_path = path + (t,)
                 g.adjacency[ck] = {t: k}
                 queue.append(ck)
-                new = ids[child.order.index(t)]
-                g.variables.setdefault(vals[new].canonical_serialize(), (vals[new], child_path))
+                g.variables.setdefault(text[new], (vals[new], child_path))
             elif ck not in g.complete:   # found again: hold the edge back to k
                 stored = g.nodes[ck]
                 a, b = child.order, stored.order

@@ -4,7 +4,8 @@ and the verification suites.
 Exit codes: 0 success, 1 property violation (a Laurent violation, or two
 seeds of one cluster with different quivers), 2 invalid input (including a
 fixture above the size limit and an exponent above the Laurent layer's
-limit).
+limit), 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ends)
+when the reader of standard output closes it early.
 """
 from __future__ import annotations
 
@@ -277,7 +278,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so the interpreter's final
+        # flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -570,7 +570,7 @@ def test_explore_shares_quivers_and_transitions_per_call(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def explore_memo(monkeypatch, fixture, **seed_kwargs):
+def explore_memo(monkeypatch, fixture, max_nodes=300, **seed_kwargs):
     """The memo that one exploration of ``fixture`` hands to mutate_seed."""
     memos, original = [], algebra.mutate_seed
 
@@ -580,9 +580,42 @@ def explore_memo(monkeypatch, fixture, **seed_kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "mutate_seed", recorded)
-        explored(fixture, 300, **seed_kwargs)
+        explored(fixture, max_nodes, **seed_kwargs)
     assert all(m is memos[0] for m in memos)
     return memos[0]
+
+
+@pytest.mark.parametrize("fixture, max_nodes, tracking", [
+    ("mobius:4", 100000, "exact"), ("annulus-crosscap", 2000, "denominator"),
+    ("three-boundary", 2000, "denominator")])
+def test_memo_entries_from_their_inverse_match_a_fresh_transition(
+        monkeypatch, fixture, max_nodes, tracking):
+    # the transition from shape S at label i to C at j fills C's empty entry
+    # at j with S and the inverse permutation, and its first use only
+    # classifies; every such entry, used or not, must give what computing
+    # the transition gives: the same child Shape, an equal classification
+    # and the same child quiver up to arrow ids and path order
+    original, used = algebra._transition, set()
+
+    def recorded(order, quiver, cls, memo, canonical, shape=None, inverse=None):
+        if inverse is not None:
+            used.add((shape, order.index(cls.t)))
+        return original(order, quiver, cls, memo, canonical, shape, inverse)
+
+    monkeypatch.setattr(algebra, "_transition", recorded)
+    memo = explore_memo(monkeypatch, fixture, max_nodes, tracking=tracking)
+    unused = [(shape, i) for shape, row in memo.items() if type(shape) is algebra.Shape
+              for i, entry in enumerate(row) if entry is not None and entry[0] is None]
+    assert used
+    for shape, i in [*used, *unused]:
+        cls, child, perm = memo[shape][i]
+        rep, t = shape.quiver, shape.order[i]
+        fresh = original(shape.order, rep, rep.classify_vertex(t), dict(memo), True)
+        assert child is fresh[1]
+        assert cls == fresh[0] if (shape, i) in used else cls is None
+        labels = shape.order + (t,)
+        mine = child.quiver.renamed({v: labels[j] for v, j in zip(child.order, perm)})
+        assert quiver_shape(mine) == quiver_shape(rep.mutate(t))
 
 
 @pytest.mark.parametrize("fixture", ["mobius:3", "annulus-crosscap"])
@@ -644,12 +677,13 @@ def test_values_and_variables_keep_their_order():
 
 def test_explore_serializes_only_for_cluster_keys(monkeypatch):
     # values are interned by equality, so explore serializes only to build
-    # the byte keys of the graph: each new cluster's key (one per mutable
-    # vertex) and its new variable, and the root's key and variables.  A
-    # classification is renamed once to labels per transition and once back
-    # to the seed's vertices per exchange_value call.  Before values were
-    # interned this run made 67,679 serializations (about 34 per node) and
-    # 3,609 renamings.
+    # the byte keys of the graph, each variable once, a new cluster's key
+    # being its parent's with one entry swapped.  A classification is
+    # renamed once to labels per transition and once back to the seed's
+    # vertices per exchange_value call.  Before values were interned this
+    # run made 67,679 serializations (about 34 per node) and 3,609
+    # renamings; before keys were built from the parent's, 12,004
+    # serializations, (nodes - 1)(n + 1) + 2n.
     seed = initial_seed(annulus_crosscap().build_quiver(), coeff_free=True,
                         tracking="denominator")
     serialized = counting(monkeypatch, DenominatorVector, "canonical_serialize")
@@ -658,8 +692,9 @@ def test_explore_serializes_only_for_cluster_keys(monkeypatch):
     classified = counting(monkeypatch, PartitionedQuiver, "classify_vertex")
     with pytest.raises(LimitExceeded) as err:
         explore(seed, max_nodes=2000)
-    nodes, mutable = err.value.graph.node_count(), len(seed.values)
-    assert serialized[0] == (nodes - 1) * (mutable + 1) + 2 * mutable == 12004
+    g = err.value.graph
+    assert g.node_count() == 2000
+    assert serialized[0] == g.variable_count() == 270
     assert renamed[0] == exchanges[0] + classified[0] == 1788
 
 

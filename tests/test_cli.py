@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import quasicluster
 from quasicluster import cli, verify
 from quasicluster.algebra import Seed
 from quasicluster.cli import main
@@ -432,3 +437,29 @@ def test_verify_in_counts_each_failing_vertex_once(tmp_path, capsys,
     assert "involution on input quiver: 3 failures over 3 vertices" in out
     assert "5 randomized (seed, vertex) pairs, 5 failures" in \
         verify.suite_involution(pairs=5).lines[0]
+
+
+@pytest.mark.parametrize("argv", [["mutate", "--seq", "1,2,1,3"],
+                                  ["surface", "mobius", "--marked", "3"]],
+                         ids=["mutate", "surface"])
+def test_closed_stdout_exits_141_without_traceback(tmp_path, argv):
+    # ``quasicluster mutate ... | head -5``: the reader goes away before the
+    # command writes; the command ends quietly with the documented code
+    qpath = tmp_path / "q.json"
+    qpath.write_text(named_fixture("mobius:3").build_quiver().dumps())
+    if argv[0] == "mutate":
+        argv = argv + ["--in", str(qpath)]
+    src = str(Path(quasicluster.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "from quasicluster.cli import main; sys.exit(main(sys.argv[1:]))")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-c", code, src, *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr and "Exception" not in done.stderr
+    assert done.stderr == ""
+    assert done.returncode == 141

@@ -55,6 +55,44 @@ def test_classify_and_mutate_ignore_labels_and_order(name, walk, relabel_seed):
         assert q1.mutate(t).canonical_form() == form
 
 
+def labelled(q):
+    """The vertices and path itineraries in order: q up to arrow ids and path
+    order, paths keeping their direction, vertices keeping their names."""
+    return q.vertices, sorted(q.itineraries())
+
+
+@settings(derandomize=True, deadline=None)
+@given(name=st.sampled_from(FIXTURES),
+       walk=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+       relabel_seed=st.integers(min_value=0, max_value=2**32))
+def test_mutation_is_an_involution_with_the_inverse_labelling(name, walk,
+                                                             relabel_seed):
+    # mutating twice at t gives q's shape back; and if the child's shape was
+    # first met as a relabelled copy r, mutating r at the child label of t
+    # gives q under the inverse of the child's permutation: q's label l, at
+    # the child label of q's vertex there, and t at t's
+    q = named_fixture(name).build_quiver()
+    for step in walk:
+        mutable = q.mutable_ids()
+        q = q.mutate(mutable[step % len(mutable)])
+    key, order = q.shape()
+    for t in q.mutable_ids():
+        q1 = q.mutate(t)
+        assert q1.mutate(t).shape()[0] == key
+        ckey, corder = q1.shape()
+        label = {v: j for j, v in enumerate(corder)}
+        inv = [label[v] for v in order]
+        inv[order.index(t)] = len(order)
+        r, _ = relabelled(q1, random.Random(relabel_seed))
+        rkey, rorder = r.shape()
+        assert rkey == ckey
+        rt = rorder[label[t]]
+        back = r.mutate(rt)
+        names = rorder + (rt,)
+        assert labelled(back.renamed({names[j]: v for j, v in zip(inv, order)})) == \
+            labelled(q)
+
+
 def json_round_trip(obj):
     data = obj.to_json()
     back = type(obj).from_json(json.loads(json.dumps(data)))
