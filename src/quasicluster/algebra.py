@@ -22,7 +22,9 @@ class Shape:
     """A quiver up to vertex names and path order: the key of
     ``PartitionedQuiver.shape``, one representative quiver with that key,
     the representative's vertex ids in label order and the labels of its
-    mutable and of its frozen vertices.  Never edited; equal only to itself."""
+    mutable and of its frozen vertices.  The child of a plain ``mutate_seed``
+    call holds an unkeyed shape, key None: its seed's quiver in the seed's
+    vertex order.  Never edited; equal only to itself."""
 
     __slots__ = ("key", "quiver", "order", "mutable", "frozen")
 
@@ -81,8 +83,11 @@ class Seed:
         return s
 
     def _in(self, table: ValueTable) -> Seed:
-        """This seed with its value ids in ``table``: itself, or a copy that
-        interns its values there."""
+        """This seed keyed, with its value ids in ``table``: itself, or a copy
+        that interns its values there (one made by plain ``mutate_seed``
+        calls is built anew, which keys its shape)."""
+        if self.shape.key is None:
+            return Seed(self.quiver, self.context, self.values, self.frozen)._in(table)
         if self.table is table:
             return self
         ids = tuple(table.intern(self.table.values[i]) for i in self.ids)
@@ -190,61 +195,60 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
                 memo: dict | None = None) -> Seed:
     """Mutate at vertex t: new quiver plus the exchanged variable at t.
 
-    The V1-V4 rules never read vertex names, so the representative of the
-    seed's shape is classified and mutated at the vertex labelled like t,
-    and the classification, kept by label, reads the seed's value ids.
-    ``memo`` is a dict shared by repeated calls: the ``ValueTable`` of the
-    ids (a seed with another table has its values interned there first),
-    shape key -> ``Shape``, each shape's row of ``_transition`` results by
-    label, and the id of E / x_t by V-type, input ids and old id.  Mutation
-    is an involution, so the transition from shape S at label i to C at j
-    fills C's empty entry at j with S and the inverse permutation; its first
-    use classifies C's representative at j but mutates no quiver.  So a
-    memo'd child equals ``seed.quiver.mutate(t)`` up to arrow ids and path
-    order, and relations that differ only by the symmetries of E share one
-    entry.  Without ``memo`` the call takes the same path with a fresh one
-    that holds the seed's table but never its shape, and the child is that
-    mutation to the byte, with a key that is not canonical (``shape(False)``,
-    in linear time).  With ``cls``, a classification the caller has made,
-    the seed's own quiver is mutated instead.
+    Without ``memo`` this is one direct step: the seed's quiver is classified
+    at t (unless ``cls`` is that classification, as for
+    ``PartitionedQuiver.mutate``) and mutated, the new value joins the seed's
+    table, and the child holds that mutation, ``seed.quiver.mutate(t)`` to
+    the byte, as an unkeyed shape.  ``memo`` is a dict shared by repeated
+    calls, which take no ``cls``: the ``ValueTable`` of the ids (a seed with
+    another table, or unkeyed, is interned there first), shape key ->
+    ``Shape``, each shape's row of ``_transition`` results by label, and the
+    id of E / x_t by V-type, input ids and old id.  The V1-V4 rules never
+    read vertex names, so the representative of the seed's shape is
+    classified and mutated at the vertex labelled like t, and the
+    classification, kept by label, reads the seed's value ids: a memo'd
+    child equals ``seed.quiver.mutate(t)`` up to arrow ids and path order,
+    and relations that differ only by the symmetries of E share one entry.
     """
-    plain = memo is None
-    memo = {ValueTable: seed.table} if plain else memo
+    if memo is None:
+        quiver, ids = seed.quiver, list(seed.ids)
+        cls = cls or quiver.classify_vertex(t)
+        child = Shape(None, quiver.mutate(t, cls), seed.order)
+        ids[seed.order.index(t)] = seed.table.intern(_exchanged(seed, cls, t))
+        return seed._moved(child, child.order, tuple(ids), seed.table)
     table = memo.get(ValueTable) or memo.setdefault(ValueTable, ValueTable())
-    ids, shape, order = seed._in(table).ids, seed.shape, seed.order
-    if cls is None:
-        row = memo.get(shape)
-        if row is None:   # a shape not met yet, or a copy of one met
-            if not plain:   # else the child would take the seed's arrow ids
-                shape = memo.setdefault(shape.key, shape)
-            row = memo.setdefault(shape, [None] * len(order))
-        try:
-            i = order.index(t)
-            if row[i] is None or row[i][0] is None:   # not met, or met as an inverse
-                rep = shape.quiver
-                row[i] = _transition(shape.order, rep, rep.classify_vertex(shape.order[i]),
-                                     memo, not plain, shape, row[i])
-        except ValueError:   # t is no vertex, or a ClassificationError
-            seed.quiver.classify_vertex(t)   # raise it naming the seed's vertices
-            raise
-        cls, child, perm = row[i]
-    else:
-        cls, child, perm = _transition(order, seed.quiver, cls, memo, not plain)
+    seed = seed._in(table)
+    ids, shape, order = seed.ids, seed.shape, seed.order
+    row = memo.get(shape)
+    if row is None:   # a shape not met yet, or a copy of one met
+        shape = memo.setdefault(shape.key, shape)
+        row = memo.setdefault(shape, [None] * len(order))
+    try:
+        i = order.index(t)
+        if row[i] is None or row[i][0] is None:   # not met, or met as an inverse
+            row[i] = _transition(shape, i, memo, row[i])
+    except ValueError:   # t is no vertex, or a ClassificationError
+        seed.quiver.classify_vertex(t)   # raise it naming the seed's vertices
+        raise
+    cls, child, perm = row[i]
     key = _relation_key(cls, ids)
     new = memo.get(key)
     if new is None:
-        try:
-            value = exchange_value(seed, cls.renamed(order)).divide(
-                table.values[ids[cls.t]])
-        except LaurentViolation as exc:
-            raise LaurentViolation(
-                f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
-        new = memo[key] = table.intern(value)
+        new = memo[key] = table.intern(_exchanged(seed, cls.renamed(order), t))
     corder = tuple(map((order + (t,)).__getitem__, perm))
     if corder == child.order:
         corder = child.order   # then ``quiver`` copies the representative
     return seed._moved(child, corder, tuple(map((ids + (new,)).__getitem__, perm)),
                        table)
+
+
+def _exchanged(seed: Seed, cls: VertexClassification, t: int):
+    """E / x_t for ``cls``, which names the seed's vertices."""
+    try:
+        return exchange_value(seed, cls).divide(seed.value_of(t))
+    except LaurentViolation as exc:
+        raise LaurentViolation(
+            f"Laurent phenomenon falsified at vertex {t}: {exc}") from exc
 
 
 class LimitExceeded(RuntimeError):
@@ -397,34 +401,34 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     return rename
 
 
-def _transition(order: tuple[int, ...], quiver: PartitionedQuiver,
-                cls: VertexClassification, memo: dict, canonical: bool,
-                shape: Shape | None = None, inverse: tuple | None = None) -> tuple:
-    """Mutate ``quiver``, its vertex ids in label order ``order``, by
-    ``cls``: the classification by label, the child's shape (interned in
-    ``memo``, key -> shape, its key canonical or not) and, at each label of
-    the child, the label of its vertex in ``order`` or len(order) at the
-    mutated vertex, one byte each where that suffices.  With canonical keys,
-    ``shape``, that of ``quiver``, fills the child's empty entry at t with
-    the way back; ``inverse``, such an entry, lacks only ``cls``."""
-    label = dict(zip(order, range(len(order))))
+def _transition(shape: Shape, i: int, memo: dict, inverse: tuple | None = None) -> tuple:
+    """Classify and mutate the representative of ``shape`` at label i: the
+    classification by label, the child's shape (interned in ``memo``, key ->
+    shape) and, at each label of the child, the label of its vertex in
+    ``shape`` or len(order) at the mutated vertex, one byte each where that
+    suffices.  Mutation is an involution, so the child's empty entry at t
+    gets the way back: ``inverse``, such an entry, lacks only the
+    classification, and with it the representative is not mutated."""
+    order, rep = shape.order, shape.quiver
+    t, n = order[i], len(order)
+    cls = rep.classify_vertex(t)
+    label = dict(zip(order, range(n)))
     if inverse is not None:
         return cls.renamed(label), inverse[1], inverse[2]
-    quiver = quiver.mutate(cls.t, cls)
-    key, corder = quiver.shape(canonical)
+    quiver = rep.mutate(t, cls)
+    key, corder = quiver.shape()
     child = memo.get(key)
     if child is None:
         child = memo[key] = Shape(key, quiver, corder)
+    clabel = dict(zip(corder, range(n)))
     perm = [label[v] for v in corder]
-    perm[corder.index(cls.t)] = len(order)
-    if canonical and shape is not None:
-        clabel = dict(zip(corder, range(len(order))))
-        back = memo.setdefault(child, [None] * len(order))
-        if back[clabel[cls.t]] is None:
-            inv = [clabel[v] for v in order]
-            inv[label[cls.t]] = len(order)
-            back[clabel[cls.t]] = None, shape, bytes(inv) if len(inv) < 256 else tuple(inv)
-    return cls.renamed(label), child, bytes(perm) if len(perm) < 256 else tuple(perm)
+    perm[clabel[t]] = n
+    back = memo.setdefault(child, [None] * n)
+    if back[clabel[t]] is None:
+        inv = [clabel[v] for v in order]
+        inv[i] = n
+        back[clabel[t]] = None, shape, bytes(inv) if n < 256 else tuple(inv)
+    return cls.renamed(label), child, bytes(perm) if n < 256 else tuple(perm)
 
 
 def explore(seed: Seed, max_nodes: int = 100000,

@@ -75,7 +75,7 @@ def lift(base: QuasiTriangulation) -> DoubleCover:
             "cannot be part of any triangulation")
     base.require_valid()
     slots_of = base.corner_slots()
-    rho = base._arc_transport(slots_of)
+    rho = base.arc_transport(slots_of)
 
     arc_lift = {}
     for i, (a, s) in enumerate(sorted((a, s) for a in base.arcs for s in (0, 1))):

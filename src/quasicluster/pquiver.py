@@ -339,7 +339,7 @@ class PartitionedQuiver:
         return [[arrows[p[0]].src, *[arrows[aid].tgt for aid in p]] if p else []
                 for p in self.partition]
 
-    def shape(self, canonical: bool = True) -> tuple[tuple, tuple[int, ...]]:
+    def shape(self) -> tuple[tuple, tuple[int, ...]]:
         """``(key, order)``: this quiver up to vertex names and path order
         (paths keep their direction), and its vertex ids in label order.
 
@@ -347,14 +347,11 @@ class PartitionedQuiver:
         of the path blocks of ``_canonical`` and the codes of the vertices
         on no path, last in (frozen, kind, id) order.  Equal keys mean that
         renaming by ``zip(order, other_order)`` gives the other quiver up to
-        arrow ids and path order.  With ``canonical=False`` the paths are
-        one block in partition order, in linear time: the key stays exact,
-        but a copy with its paths in another order gets another key."""
+        arrow ids and path order."""
         vertices = self.vertices
         code = _vertex_codes(vertices)
         paths = [p for p in self.itineraries() if p]
-        blocks = _canonical(paths, code) if canonical else \
-            [_first_appearance(paths, code, {})]
+        blocks = _canonical(paths, code)
         label = dict.fromkeys(v for _, lab in blocks for v in lab)
         rest = sorted((v for v in vertices.values() if v.id not in label),
                       key=lambda v: (v.frozen, v.kind, v.id))

@@ -364,18 +364,15 @@ class QuasiTriangulation:
                     inst[(pt, i, mi)] = (tri.id, k)
         return inst
 
-    def arc_transport(self) -> dict[int, int]:
+    def arc_transport(self, slots_of=None) -> dict[int, int]:
         """Per internal two-ended arc: 1 if crossing it reverses orientation.
 
         The side instance seen on the walk-left of the arc's end-0 token
         equals the one on the walk-left of its end-1 token exactly when the
         gluing is orientation-reversing (relative to the stored walk
         directions; boundary arcs transport trivially by the walk convention).
+        ``slots_of`` is ``corner_slots()``, built here unless the caller has it.
         """
-        return self._arc_transport(self.corner_slots())
-
-    def _arc_transport(self, slots_of) -> dict[int, int]:
-        """``arc_transport()`` from the caller's ``corner_slots()``."""
         inst = self.side_instance_map(slots_of)
         position = self.token_positions()
         out: dict[int, int] = {}

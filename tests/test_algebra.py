@@ -597,10 +597,10 @@ def test_memo_entries_from_their_inverse_match_a_fresh_transition(
     # and the same child quiver up to arrow ids and path order
     original, used = algebra._transition, set()
 
-    def recorded(order, quiver, cls, memo, canonical, shape=None, inverse=None):
+    def recorded(shape, i, memo, inverse=None):
         if inverse is not None:
-            used.add((shape, order.index(cls.t)))
-        return original(order, quiver, cls, memo, canonical, shape, inverse)
+            used.add((shape, i))
+        return original(shape, i, memo, inverse)
 
     monkeypatch.setattr(algebra, "_transition", recorded)
     memo = explore_memo(monkeypatch, fixture, max_nodes, tracking=tracking)
@@ -610,7 +610,7 @@ def test_memo_entries_from_their_inverse_match_a_fresh_transition(
     for shape, i in [*used, *unused]:
         cls, child, perm = memo[shape][i]
         rep, t = shape.quiver, shape.order[i]
-        fresh = original(shape.order, rep, rep.classify_vertex(t), dict(memo), True)
+        fresh = original(shape, i, dict(memo))
         assert child is fresh[1]
         assert cls == fresh[0] if (shape, i) in used else cls is None
         labels = shape.order + (t,)
@@ -639,6 +639,33 @@ def test_mutate_seed_interns_seeds_of_another_table(monkeypatch, fixture):
                 assert child.values == plain.values
                 assert quiver_shape(child.quiver) == quiver_shape(plain.quiver)
     assert len(table.values) > size
+
+
+@pytest.mark.parametrize("fixture, max_nodes, tracking", [
+    ("mobius:4", 100000, "exact"), ("annulus-crosscap", 2000, "denominator")])
+def test_explore_from_an_unkeyed_seed(fixture, max_nodes, tracking):
+    # a plain call keys no shape: its child holds the seed's quiver mutated,
+    # to the byte, and explore keys it once, so it explores as the same seed
+    # built anew does, and stores a keyed root
+    seed = initial_seed(named_fixture(fixture).build_quiver(), tracking=tracking)
+    t = seed.quiver.mutable_ids()[0]
+    child = mutate_seed(seed, t)
+    assert child.shape.key is None and child.table is seed.table
+    assert child.quiver.to_json() == seed.quiver.mutate(t).to_json()
+    outputs = []
+    for s in (child, Seed(child.quiver, child.context, child.values, child.frozen)):
+        try:
+            g = explore(s, max_nodes=max_nodes)
+        except LimitExceeded as exc:
+            g = exc.graph
+        root = g.nodes[g.root]
+        assert root.shape.key == root.quiver.shape()[0]
+        outputs.append((g.to_json(), g.to_dot()))
+    assert outputs[0] == outputs[1]
+    # and a plain call on a stored seed mutates that seed's own quiver
+    for s in list(g.nodes.values())[:40]:
+        for t in s.quiver.mutable_ids():
+            assert mutate_seed(s, t).quiver.to_json() == s.quiver.mutate(t).to_json()
 
 
 def test_explore_of_hand_edited_values():

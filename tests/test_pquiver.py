@@ -542,16 +542,15 @@ def test_zigzag_polygon_is_a_triangulation_quiver():
 
 
 def test_verify_in_labels_canonically_once(tmp_path, capsys, monkeypatch):
-    # verify --in mutates at each vertex and back; those mutations key their
-    # children in partition order, so only the initial seed pays for the
-    # canonical labelling
+    # verify --in mutates at each vertex and back; those plain mutations key
+    # no child, so only the initial seed pays for the canonical labelling
     path = tmp_path / "zigzag.json"
     path.write_text(zigzag_polygon(200).dumps())
     calls, shape = [], PartitionedQuiver.shape
-    monkeypatch.setattr(PartitionedQuiver, "shape", lambda q, canonical=True: (
-        calls.append(canonical), shape(q, canonical))[1])
+    monkeypatch.setattr(PartitionedQuiver, "shape", lambda q: (
+        calls.append(q), shape(q))[1])
     start = time.perf_counter()
     assert main(["verify", "--in", str(path)]) == 0
     assert "0 failures over 197 vertices" in capsys.readouterr().out
-    assert calls.count(True) == 1 and len(calls) > 2 * 197
+    assert len(calls) == 1
     assert time.perf_counter() - start < 5

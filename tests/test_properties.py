@@ -5,7 +5,8 @@ stored: each example walks a fixture a few random steps, then builds a copy
 with vertex ids and arrow ids renamed and the arrow dict, the vertex dict and
 the path list shuffled.  At every mutable vertex the copy must classify to
 the same type and mutate to the same canonical form; the mutation must be
-valid and an involution.
+valid and an involution.  A copy with one path reversed must classify to the
+same roles and mutate to the same quiver up to path direction.
 
 Flips and mutations commute with the quiver construction along random flip
 walks, and the walked quivers and triangulations survive a JSON round trip.
@@ -91,6 +92,53 @@ def test_mutation_is_an_involution_with_the_inverse_labelling(name, walk,
         names = rorder + (rt,)
         assert labelled(back.renamed({names[j]: v for j, v in zip(inv, order)})) == \
             labelled(q)
+
+
+def with_path_reversed(q, pi):
+    """Copy of q with path pi walked the other way, its arrows turned round."""
+    copy = q.copy()
+    path = copy.partition[pi]
+    path.reverse()
+    for aid in path:
+        a = copy.arrows[aid]
+        copy.arrows[aid] = Arrow(a.id, a.tgt, a.src)
+    return copy
+
+
+def roles(cls):
+    """The type and the roles of a classification, unordered where the
+    exchange relation is symmetric: the factors of each V1 product and the
+    two products, and the outer neighbours i, k of V3."""
+    if cls.type == "V1":
+        return cls.type, sorted(sorted(p) for p in cls.product_pairs)
+    if cls.type == "V3":
+        return cls.type, sorted([cls.i, cls.k]), cls.j
+    return cls.type, cls.i
+
+
+def up_to_direction(q):
+    """The vertices and the paths' itineraries, each read in its lesser
+    direction, sorted: q up to arrow ids, path order and path direction."""
+    return q.vertices, sorted(min(p, p[::-1]) for p in q.itineraries())
+
+
+@settings(derandomize=True, deadline=None)
+@given(name=st.sampled_from(FIXTURES),
+       walk=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+       which=st.integers(min_value=0, max_value=10**6))
+def test_reversing_a_path_keeps_classification_and_mutation(name, walk, which):
+    # the V1-V4 rules read a path's direction only through its arrows, so a
+    # copy with one path reversed classifies every vertex to the same type
+    # and roles and mutates to the same quiver up to path direction
+    q = named_fixture(name).build_quiver()
+    for step in walk:
+        mutable = q.mutable_ids()
+        q = q.mutate(mutable[step % len(mutable)])
+    r = with_path_reversed(q, which % len(q.partition))
+    assert r.validate() == []
+    for t in q.mutable_ids():
+        assert roles(r.classify_vertex(t)) == roles(q.classify_vertex(t))
+        assert up_to_direction(r.mutate(t)) == up_to_direction(q.mutate(t))
 
 
 def json_round_trip(obj):
