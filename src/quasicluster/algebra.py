@@ -20,20 +20,17 @@ from .pquiver import V1, V2, V3, V4, PartitionedQuiver, VertexClassification
 
 class Shape:
     """A quiver up to vertex names and path order: the key of
-    ``PartitionedQuiver.shape``, one representative quiver with that key,
-    the representative's vertex ids in label order and the labels of its
-    mutable and of its frozen vertices.  The child of a plain ``mutate_seed``
+    ``PartitionedQuiver.shape``, one representative quiver with that key and
+    the representative's vertex ids in label order, so a keyed shape labels
+    its n mutable vertices 0..n-1.  The child of a plain ``mutate_seed``
     call holds an unkeyed shape, key None: its seed's quiver in the seed's
     vertex order.  Never edited; equal only to itself."""
 
-    __slots__ = ("key", "quiver", "order", "mutable", "frozen")
+    __slots__ = ("key", "quiver", "order")
 
     def __init__(self, key: tuple, quiver: PartitionedQuiver,
                  order: tuple[int, ...]):
         self.key, self.quiver, self.order = key, quiver, order
-        frozen = [quiver.vertices[v].frozen for v in order]
-        self.mutable = tuple(j for j, f in enumerate(frozen) if not f)
-        self.frozen = tuple(j for j, f in enumerate(frozen) if f)
 
 
 class ValueTable:
@@ -441,8 +438,9 @@ def explore(seed: Seed, max_nodes: int = 100000,
     vertices in ascending order.
 
     One ``mutate_seed`` memo serves this call and no other, so separate
-    calls on the same seed do the same work.  Clusters are told apart by
-    their sorted mutable value ids in the memo's table.  Each variable is
+    calls on the same seed do the same work.  Every keyed seed labels its
+    n mutable vertices 0..n-1, so a cluster is told apart by its sorted
+    value ids ``ids[:n]`` in the memo's table.  Each variable is
     serialized once, and a new cluster's key of sorted serializations is its
     parent's with the one at t swapped.  Each edge of the exchange graph is
     computed once, since mutation is an involution.  A cluster first created
@@ -450,13 +448,13 @@ def explore(seed: Seed, max_nodes: int = 100000,
     found again from k at t keeps the seed of the path that created it, so
     its vertex back to k is the vertex u whose value equals the new value
     at t: the one labelled like t if both seeds have one shape, equal ids
-    and their frozen vertices at the same labels, else by ``match_seeds``
-    (which raises SeedMismatch if the stored seed's quiver differs from the
-    new one under that value map).  That edge is held until the cluster is
-    expanded and only then recorded at u, the moment it would be computed,
-    so the graph, partial graphs included, is the one that mutating at u
-    would give.  Held edges of clusters never expanded are dropped; a
-    cluster that repeats a value holds none.
+    and their frozen vertices at the same labels, n and up, else by
+    ``match_seeds`` (which raises SeedMismatch if the stored seed's quiver
+    differs from the new one under that value map).  That edge is held
+    until the cluster is expanded and only then recorded at u, the moment
+    it would be computed, so the graph, partial graphs included, is the one
+    that mutating at u would give.  Held edges of clusters never expanded
+    are dropped; a cluster that repeats a value holds none.
     """
     g = ExchangeGraph()
     table = ValueTable()
@@ -466,11 +464,12 @@ def explore(seed: Seed, max_nodes: int = 100000,
     pending: dict = {}  # unexpanded cluster -> {vertex: neighbour cluster}
     text: dict = {}     # value id -> serialization, for each variable
     mutables = seed.quiver.mutable_ids()
+    n = len(mutables)
     seed = seed._in(table)
     for lf in seed.values.values():
         ser = text.setdefault(table.intern(lf), lf.canonical_serialize())
         g.variables.setdefault(ser, (lf, ()))
-    root = [seed.ids[j] for j in seed.shape.mutable]
+    root = seed.ids[:n]
     k0 = found[tuple(sorted(root))] = tuple(sorted([text[i] for i in root]))
     g.nodes[k0] = seed
     g.paths[k0] = ()
@@ -492,7 +491,7 @@ def explore(seed: Seed, max_nodes: int = 100000,
                 continue
             child = mutate_seed(s, t, memo=memo)._in(table)
             ids = child.ids
-            cids = tuple(sorted([ids[j] for j in child.shape.mutable]))
+            cids = tuple(sorted(ids[:n]))
             ck = found.get(cids)
             if ck is None:
                 if len(g.nodes) >= max_nodes:
@@ -513,7 +512,7 @@ def explore(seed: Seed, max_nodes: int = 100000,
                 stored = g.nodes[ck]
                 a, b = child.order, stored.order
                 if child.shape is stored.shape and ids == stored.ids and \
-                        all(a[j] == b[j] for j in child.shape.frozen):   # one labelling
+                        a[n:] == b[n:]:   # one labelling
                     u = b[a.index(t)] if len(set(cids)) == len(cids) else None
                 else:
                     u = (match_seeds(child, stored) or {}).get(t)

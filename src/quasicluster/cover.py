@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .pquiver import Arrow, PartitionedQuiver, Vertex
+from .pquiver import PartitionedQuiver
 from .surface import (InvalidTriangulation, QuasiTriangulation, Triangle,
                       TRI_ANTI_SELF_FOLDED, TRI_QUASI, TRI_REGULAR,
                       _triangle_matchings)
@@ -52,14 +52,6 @@ class DoubleCover(NamedTuple):
             p0, p1 = position[(arc, 0)][0], position[(arc, 1)][0]
             parent[_find(parent, p0)] = _find(parent, p1)
         return len({_find(parent, p) for p in parent}) == 1
-
-    def apply_sigma_to_quiver(self, quiver: PartitionedQuiver) -> PartitionedQuiver:
-        """Relabel a quiver built on lifted arc ids by the deck involution."""
-        vertices = [Vertex(self.sigma_arc[v.id], v.frozen, v.kind)
-                    for v in quiver.vertices.values()]
-        arrows = [Arrow(a.id, self.sigma_arc[a.src], self.sigma_arc[a.tgt])
-                  for a in quiver.arrows.values()]
-        return PartitionedQuiver(vertices, arrows, quiver.partition)
 
 
 def lift(base: QuasiTriangulation) -> DoubleCover:

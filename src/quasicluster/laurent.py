@@ -68,9 +68,6 @@ class Context:
             return f"x{i + 1}"
         return f"y{i - self.n_cluster + 1}"
 
-    def names(self) -> list[str]:
-        return [self.name(i) for i in range(self.nvars)]
-
 
 class _Layout:
     """The packed monomial format for one number of variables.

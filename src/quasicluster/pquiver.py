@@ -341,13 +341,15 @@ class PartitionedQuiver:
 
     def shape(self) -> tuple[tuple, tuple[int, ...]]:
         """``(key, order)``: this quiver up to vertex names and path order
-        (paths keep their direction), and its vertex ids in label order.
+        (paths keep their direction), and its vertex ids in label order, the
+        mutable vertices first.
 
         The key is the vertex count, the number of empty paths, the codes
         of the path blocks of ``_canonical`` and the codes of the vertices
-        on no path, last in (frozen, kind, id) order.  Equal keys mean that
-        renaming by ``zip(order, other_order)`` gives the other quiver up to
-        arrow ids and path order."""
+        on no path, last in (frozen, kind, id) order.  The labelling takes
+        the vertices in that order, the mutable ones before the frozen.
+        Equal keys mean that renaming by ``zip(order, other_order)`` gives
+        the other quiver up to arrow ids and path order."""
         vertices = self.vertices
         code = _vertex_codes(vertices)
         paths = [p for p in self.itineraries() if p]
@@ -357,7 +359,8 @@ class PartitionedQuiver:
                       key=lambda v: (v.frozen, v.kind, v.id))
         key = (len(vertices), len(self.partition) - len(paths),
                tuple(k for k, _ in blocks), *[code[v.id] for v in rest])
-        return key, (*label, *[v.id for v in rest])
+        order = [*label, *[v.id for v in rest]]
+        return key, tuple(sorted(order, key=lambda v: vertices[v].frozen))
 
     def renamed(self, names: dict[int, int]) -> "PartitionedQuiver":
         """This quiver with each vertex id v renamed ``names.get(v, v)``;
@@ -592,18 +595,19 @@ class PartitionedQuiver:
         """Return the quiver mutated at mutable vertex t.  Functional.
 
         ``cls`` is ``classify_vertex(t)`` when the caller has already made it.
+        Each run of replaced arrows is spliced where it lies, found by its
+        first arrow: the runs are disjoint, and only the single run of V2 or
+        V4 reuses an id, so each first arrow is found once, in its place.
         """
         if cls is None:
             cls = self.classify_vertex(t)
         rule = {V1: self._rule_v1, V2: self._rule_v2,
                 V3: self._rule_v3, V4: self._rule_v4}[cls.type]
         runs, kind = rule(cls)
-        loc = self._positions()
         q = self.copy()
-        # right to left, so that each run's position is still the original one
-        for old, new in sorted(runs, key=lambda run: loc[run[0][0]], reverse=True):
-            pi, pos = loc[old[0]]
-            path = q.partition[pi]
+        for old, new in runs:
+            path = next(p for p in q.partition if old[0] in p)
+            pos = path.index(old[0])
             assert path[pos:pos + len(old)] == old, "roles are not path-consecutive"
             path[pos:pos + len(old)] = [a.id for a in new]
         # an id both replaced and re-added (V2's loop, V4's a1) keeps its

@@ -208,7 +208,7 @@ def suite_cover() -> SuiteResult:
                  "Moebius 3-arc double quiver matches the reference quiver")
     ok &= _check(lines, dc.sigma_is_involution() and not dc.sigma_fixed_points(),
                  "deck map is a fixed-point-free involution on lifted arcs")
-    relabeled = dc.apply_sigma_to_quiver(dq)
+    relabeled = dq.renamed(dc.sigma_arc)
     ok &= _check(lines, relabeled.canonical_form() == dq.canonical_form(),
                  "deck map is a quiver automorphism")
     try:

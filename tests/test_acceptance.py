@@ -151,7 +151,7 @@ def test_criterion_09_double_cover():
     got = dq.restrict_to_mutable().canonical_form()
     assert got == verify.figure_double_quiver().canonical_form()
     assert dc.sigma_is_involution() and dc.sigma_fixed_points() == []
-    relabeled = dc.apply_sigma_to_quiver(dq)
+    relabeled = dq.renamed(dc.sigma_arc)
     assert relabeled.canonical_form() == dq.canonical_form()
     with pytest.raises(QuasiArcPresent):
         lift(annulus_crosscap())

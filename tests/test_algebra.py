@@ -643,6 +643,21 @@ def test_mutate_seed_interns_seeds_of_another_table(monkeypatch, fixture):
 
 @pytest.mark.parametrize("fixture, max_nodes, tracking", [
     ("mobius:4", 100000, "exact"), ("annulus-crosscap", 2000, "denominator")])
+def test_stored_seeds_label_their_mutable_vertices_first(fixture, max_nodes, tracking):
+    # shape() labels the mutable vertices first and mutation never freezes
+    # a vertex, so every stored seed holds its n mutable vertices at labels
+    # 0..n-1, and the value ids there are its cluster
+    g = explored(fixture, max_nodes, tracking=tracking)
+    n = len(g.nodes[g.root].values)
+    for k, s in g.nodes.items():
+        assert sorted(s.order[:n]) == s.quiver.mutable_ids()
+        assert sorted(s.shape.order[:n]) == s.shape.quiver.mutable_ids()
+        values = s.table.values
+        assert tuple(sorted(values[i].canonical_serialize() for i in s.ids[:n])) == k
+
+
+@pytest.mark.parametrize("fixture, max_nodes, tracking", [
+    ("mobius:4", 100000, "exact"), ("annulus-crosscap", 2000, "denominator")])
 def test_explore_from_an_unkeyed_seed(fixture, max_nodes, tracking):
     # a plain call keys no shape: its child holds the seed's quiver mutated,
     # to the byte, and explore keys it once, so it explores as the same seed

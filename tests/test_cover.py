@@ -33,7 +33,7 @@ def test_sigma_properties():
     assert dc.sigma_is_involution()
     assert dc.sigma_fixed_points() == []
     dq = dc.double_quiver()
-    relabeled = dc.apply_sigma_to_quiver(dq)
+    relabeled = dq.renamed(dc.sigma_arc)
     assert relabeled.canonical_form() == dq.canonical_form()
     # sigma swaps the two lifts of every base arc
     for (arc, sheet), lifted in dc.arc_lift.items():

@@ -26,12 +26,16 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def graph_digest(name, seed_kwargs, explore_kwargs):
+def explored(name, seed_kwargs, explore_kwargs):
     seed = initial_seed(named_fixture(name).build_quiver(), **seed_kwargs)
     try:
-        graph = explore(seed, **explore_kwargs)
+        return explore(seed, **explore_kwargs)
     except LimitExceeded as exc:
-        graph = exc.graph
+        return exc.graph
+
+
+def graph_digest(name, seed_kwargs, explore_kwargs):
+    graph = explored(name, seed_kwargs, explore_kwargs)
     return digest(json.dumps(graph.to_json(), sort_keys=True))
 
 
@@ -48,6 +52,25 @@ def graph_digest(name, seed_kwargs, explore_kwargs):
         "annulus-crosscap-exact-depth3", "annulus-crosscap-denominator-2000"])
 def test_exchange_graph_digest(name, seed_kwargs, explore_kwargs, expected):
     assert graph_digest(name, seed_kwargs, explore_kwargs) == expected
+
+
+@pytest.mark.parametrize("name, seed_kwargs, explore_kwargs, expected", [
+    ("mobius:5", {"coeff_free": True}, {},
+     ("74d44670ae7e6f12bb713a9a356a9700adaa948aef6487baddb79b13a2d2a492",
+      "8e1557d6cc0019fdd008b768d1b7ce08020651e54158fa75917c8a99a3760454")),
+    ("mobius:6", {"coeff_free": True}, {},
+     ("19b1d8ebc96c7ae0ab40cc17510a101b8024cbfdba767d2fdce411d9e5567952",
+      "a7216da974a14be75da439943abcc3547df3607f9232fd324815a448fbbd6c2c")),
+    ("annulus-crosscap", {"tracking": "denominator"}, {"max_nodes": 10000},
+     ("f8308ba13d409fcafb4b893082322be02fd5b1c910862c55dad96c6ca7f9ede4",
+      "ca2ef9e8ee625fbca5c800fbfc1920bc2f771b873e238622bcc0baab3a6ba364")),
+], ids=["mobius5-coeff-free", "mobius6-coeff-free",
+        "annulus-crosscap-denominator-10000"])
+def test_export_digests(name, seed_kwargs, explore_kwargs, expected):
+    """The JSON and the DOT export of one exploration each."""
+    graph = explored(name, seed_kwargs, explore_kwargs)
+    assert (digest(json.dumps(graph.to_json(), sort_keys=True)),
+            digest(graph.to_dot())) == expected
 
 
 WALK_DIGESTS = {
