@@ -147,20 +147,14 @@ def exchange_value(seed: Seed, cls: VertexClassification):
     return s * s + val(cls.i) * val(cls.j) * val(cls.j) * val(cls.k)
 
 
-def relation_text(cls: VertexClassification, seed: Seed | None = None) -> str:
-    """Human-readable exchange relation instance.
-
-    With a seed, vertices are named by their symbol (x by mutable rank, y by
-    frozen rank, matching the rendered values); otherwise by vertex id.
-    """
-    if seed is not None:
-        names = {v: f"x{i + 1}" for i, v in enumerate(seed.quiver.mutable_ids())}
-        names.update((v, f"y{i + 1}") for i, v in enumerate(seed.quiver.frozen_ids()))
-        nm = names.__getitem__
-    else:
-        def nm(v):
-            return f"x{v}"
-
+def relation_text(cls: VertexClassification, seed: Seed) -> str:
+    """Human-readable exchange relation instance, naming vertices by their
+    symbol in ``seed``: x by mutable rank, y by frozen rank, matching the
+    rendered values."""
+    quiver = seed.quiver
+    names = {v: f"x{i + 1}" for i, v in enumerate(quiver.mutable_ids())}
+    names.update((v, f"y{i + 1}") for i, v in enumerate(quiver.frozen_ids()))
+    nm = names.__getitem__
     if cls.type == V1:
         (a, b), (c, d) = cls.product_pairs
         rhs = f"{nm(a)}*{nm(b)} + {nm(c)}*{nm(d)}"
@@ -196,7 +190,9 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
     at t (unless ``cls`` is that classification, as for
     ``PartitionedQuiver.mutate``) and mutated, the new value joins the seed's
     table, and the child holds that mutation, ``seed.quiver.mutate(t)`` to
-    the byte, as an unkeyed shape.  ``memo`` is a dict shared by repeated
+    the byte, as an unkeyed shape.  A seed in its shape's own vertex order
+    holds that shape's quiver, which the step reads uncopied, since neither
+    call edits its quiver.  ``memo`` is a dict shared by repeated
     calls, which take no ``cls``: the ``ValueTable`` of the ids (a seed with
     another table, or unkeyed, is interned there first), shape key ->
     ``Shape``, each shape's row of ``_transition`` results by label, and the
@@ -208,7 +204,8 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
     and relations that differ only by the symmetries of E share one entry.
     """
     if memo is None:
-        quiver, ids = seed.quiver, list(seed.ids)
+        shape, ids = seed.shape, list(seed.ids)
+        quiver = shape.quiver if seed.order is shape.order else seed.quiver
         cls = cls or quiver.classify_vertex(t)
         child = Shape(None, quiver.mutate(t, cls), seed.order)
         ids[seed.order.index(t)] = seed.table.intern(_exchanged(seed, cls, t))
@@ -325,14 +322,11 @@ class ExchangeGraph:
                     stack.append(nk)
         return len(seen) == len(self.nodes)
 
-    def sorted_keys(self) -> list[tuple]:
-        return sorted(self.nodes)
-
     def to_json(self) -> dict:
         """Nodes in key order and one ``edges`` entry per (node pair, vertex
         label): an edge whose two ends label it differently appears twice,
         so the distinct (a, b) pairs number ``edge_count()``."""
-        keys = self.sorted_keys()
+        keys = sorted(self.nodes)
         index = {k: i for i, k in enumerate(keys)}
         edges = sorted(
             {(min(index[k], index[ck]), max(index[k], index[ck]), t)
@@ -358,7 +352,7 @@ class ExchangeGraph:
         }
 
     def to_dot(self) -> str:
-        keys = self.sorted_keys()
+        keys = sorted(self.nodes)
         index = {k: i for i, k in enumerate(keys)}
         lines = ["graph exchange {"]
         for k in keys:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .pquiver import PartitionedQuiver
 from .surface import (InvalidTriangulation, QuasiTriangulation, Triangle,
                       TRI_ANTI_SELF_FOLDED, TRI_QUASI, TRI_REGULAR,
                       _triangle_matchings)
@@ -33,9 +32,6 @@ class DoubleCover(NamedTuple):
     arc_lift: dict[tuple[int, int], int]     # (base arc, sheet) -> lifted arc
     point_lift: dict[tuple[int, int], int]   # (base point, sheet) -> lifted point
     sigma_arc: dict[int, int]                # deck involution on lifted arcs
-
-    def double_quiver(self) -> PartitionedQuiver:
-        return self.lifted.build_quiver()
 
     def sigma_is_involution(self) -> bool:
         return all(self.sigma_arc[b] == a for a, b in self.sigma_arc.items())

@@ -337,43 +337,34 @@ class QuasiTriangulation:
 
     # -- orientation transport -------------------------------------------------------
 
-    def side_instance_map(self, slots_of=None) -> dict[tuple[int, int, int], tuple]:
-        """Map (point, corner idx, member 0|1) -> side instance key.
+    def arc_transport(self, slots_of=None) -> dict[int, int]:
+        """Per internal two-ended arc: 1 if crossing it reverses orientation.
 
         A side instance is one side of one triangle; its two corner slots sit
-        at opposite ends of the side's arc.  Quasi-triangles contribute the
-        loop side as a single instance over their one corner.  ``slots_of``
-        is ``corner_slots()``, built here unless the caller has it.
+        at opposite ends of the side's arc, and a quasi-triangle's one corner
+        has its loop side.  The side instance seen on the walk-left of the
+        arc's end-0 token, member 1 of the corner before it, equals the one
+        on the walk-left of its end-1 token exactly when the gluing is
+        orientation-reversing (relative to the stored walk directions;
+        boundary arcs transport trivially by the walk convention).
+        ``slots_of`` is ``corner_slots()``, built here unless the caller has it.
         """
-        inst: dict[tuple[int, int, int], tuple] = {}
         if slots_of is None:
             slots_of = self.corner_slots()
+        left: dict[tuple[int, int], tuple[int, int]] = {}   # corner -> side
         for tri in self.triangles.values():
             slots = slots_of[tri.id]
             if tri.kind == TRI_QUASI:
-                (pt, i), = slots
-                inst[(pt, i, 0)] = (tri.id, 0)
-                inst[(pt, i, 1)] = (tri.id, 0)
+                slot, = slots
+                left[slot] = (tri.id, 0)
                 continue
             matchings = _triangle_matchings(self.corners_at(slots))
             if not matchings:
                 raise InvalidTriangulation(f"triangle {tri.id} has no side matching")
             for k, side in enumerate(matchings[0]):
                 for ci, mi in side:
-                    pt, i = slots[ci]
-                    inst[(pt, i, mi)] = (tri.id, k)
-        return inst
-
-    def arc_transport(self, slots_of=None) -> dict[int, int]:
-        """Per internal two-ended arc: 1 if crossing it reverses orientation.
-
-        The side instance seen on the walk-left of the arc's end-0 token
-        equals the one on the walk-left of its end-1 token exactly when the
-        gluing is orientation-reversing (relative to the stored walk
-        directions; boundary arcs transport trivially by the walk convention).
-        ``slots_of`` is ``corner_slots()``, built here unless the caller has it.
-        """
-        inst = self.side_instance_map(slots_of)
+                    if mi:
+                        left[slots[ci]] = (tri.id, k)
         position = self.token_positions()
         out: dict[int, int] = {}
         for arc, kind in self.arcs.items():
@@ -382,12 +373,8 @@ class QuasiTriangulation:
             if kind == BOUNDARY:
                 out[arc] = 0
                 continue
-            lefts = []
-            for e in (0, 1):
-                pt, i = position[(arc, e)]
-                # member 1 of corner i-1 and member 0 of corner i touch token i
-                lefts.append(inst[(pt, i - 1, 1)])
-            out[arc] = 1 if lefts[0] == lefts[1] else 0
+            (p0, i0), (p1, i1) = position[(arc, 0)], position[(arc, 1)]
+            out[arc] = int(left[(p0, i0 - 1)] == left[(p1, i1 - 1)])
         return out
 
     # -- flips ---------------------------------------------------------------------

@@ -147,12 +147,15 @@ def test_criterion_08_documented_true_state():
 
 def test_criterion_09_double_cover():
     dc = lift(mobius_three_arc())
-    dq = dc.double_quiver()
+    dq = dc.lifted.build_quiver()
     got = dq.restrict_to_mutable().canonical_form()
     assert got == verify.figure_double_quiver().canonical_form()
     assert dc.sigma_is_involution() and dc.sigma_fixed_points() == []
     relabeled = dq.renamed(dc.sigma_arc)
     assert relabeled.canonical_form() == dq.canonical_form()
+    assert verify.undirected_form(relabeled) == verify.undirected_form(dq)
+    a, b = dc.arc_lift[(1, 0)], dc.arc_lift[(2, 0)]   # not an automorphism
+    assert verify.undirected_form(dq.renamed({a: b, b: a})) != verify.undirected_form(dq)
     with pytest.raises(QuasiArcPresent):
         lift(annulus_crosscap())
     with pytest.raises(QuasiArcPresent):

@@ -7,7 +7,7 @@ from quasicluster.cover import DoubleCover, QuasiArcPresent, lift
 from quasicluster.pquiver import V1
 from quasicluster.surface import (annulus_crosscap, mobius_fan,
                                   mobius_three_arc, named_fixture, polygon_fan)
-from quasicluster.verify import figure_double_quiver
+from quasicluster.verify import figure_double_quiver, undirected_form
 
 
 def test_lift_mobius_three_arc():
@@ -22,7 +22,7 @@ def test_lift_mobius_three_arc():
 
 def test_double_quiver_matches_figure():
     dc = lift(mobius_three_arc())
-    dq = dc.double_quiver()
+    dq = dc.lifted.build_quiver()
     assert dq.validate() == []
     got = dq.restrict_to_mutable().canonical_form()
     assert got == figure_double_quiver().canonical_form()
@@ -32,9 +32,17 @@ def test_sigma_properties():
     dc = lift(mobius_three_arc())
     assert dc.sigma_is_involution()
     assert dc.sigma_fixed_points() == []
-    dq = dc.double_quiver()
+    dq = dc.lifted.build_quiver()
     relabeled = dq.renamed(dc.sigma_arc)
     assert relabeled.canonical_form() == dq.canonical_form()
+    # the labelled check: sigma reverses paths, so directions are ignored
+    assert undirected_form(relabeled) == undirected_form(dq)
+    # canonical_form ignores names, so it also passes swapping two lifts on
+    # one sheet; the labelled check must not
+    a, b = dc.arc_lift[(1, 0)], dc.arc_lift[(2, 0)]
+    swapped = dq.renamed({a: b, b: a})
+    assert swapped.canonical_form() == dq.canonical_form()
+    assert undirected_form(swapped) != undirected_form(dq)
     # sigma swaps the two lifts of every base arc
     for (arc, sheet), lifted in dc.arc_lift.items():
         assert dc.sigma_arc[lifted] == dc.arc_lift[(arc, 1 - sheet)]
@@ -52,7 +60,7 @@ def test_orientable_base_lifts_to_two_copies():
     dc = lift(base)
     assert dc.lifted.validate() == []
     assert not dc.is_connected()
-    half = dc.double_quiver().restrict_to_mutable()
+    half = dc.lifted.build_quiver().restrict_to_mutable()
     assert len(half.mutable_ids()) == 2 * len(base.internal_arcs())
 
 
@@ -118,7 +126,7 @@ def test_v1_products_match_the_cover_exchange(name):
             continue
         q = tri.build_quiver()
         dc = lift(tri)
-        dq = dc.double_quiver()
+        dq = dc.lifted.build_quiver()
         for t in q.mutable_ids():
             cls = q.classify_vertex(t)
             if cls.type == V1:
