@@ -97,6 +97,12 @@ class Seed:
             return shape.quiver.copy()
         return shape.quiver.renamed(dict(zip(shape.order, self.order)))
 
+    def _read(self) -> PartitionedQuiver:
+        """``quiver`` for reading only: a seed in its shape's own vertex
+        order holds that shape's quiver, which is returned uncopied."""
+        shape = self.shape
+        return shape.quiver if self.order is shape.order else self.quiver
+
     @property
     def values(self) -> MappingProxyType:
         at, values = dict(zip(self.order, self.ids)), self.table.values
@@ -151,9 +157,8 @@ def relation_text(cls: VertexClassification, seed: Seed) -> str:
     """Human-readable exchange relation instance, naming vertices by their
     symbol in ``seed``: x by mutable rank, y by frozen rank, matching the
     rendered values."""
-    quiver = seed.quiver
-    names = {v: f"x{i + 1}" for i, v in enumerate(quiver.mutable_ids())}
-    names.update((v, f"y{i + 1}") for i, v in enumerate(quiver.frozen_ids()))
+    names = {v: f"x{i + 1}" for i, v in enumerate(sorted(seed.mutables))}
+    names.update((v, f"y{i + 1}") for i, v in enumerate(sorted(seed.frozen)))
     nm = names.__getitem__
     if cls.type == V1:
         (a, b), (c, d) = cls.product_pairs
@@ -204,12 +209,13 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
     and relations that differ only by the symmetries of E share one entry.
     """
     if memo is None:
-        shape, ids = seed.shape, list(seed.ids)
-        quiver = shape.quiver if seed.order is shape.order else seed.quiver
+        quiver, ids = seed._read(), list(seed.ids)
         cls = cls or quiver.classify_vertex(t)
         child = Shape(None, quiver.mutate(t, cls), seed.order)
         ids[seed.order.index(t)] = seed.table.intern(_exchanged(seed, cls, t))
         return seed._moved(child, child.order, tuple(ids), seed.table)
+    if cls is not None:
+        raise TypeError("mutate_seed takes cls or memo, not both")
     table = memo.get(ValueTable) or memo.setdefault(ValueTable, ValueTable())
     seed = seed._in(table)
     ids, shape, order = seed.ids, seed.shape, seed.order
@@ -254,21 +260,15 @@ class LimitExceeded(RuntimeError):
 
 
 class ExchangeGraph:
-    def __init__(self, nodes=None, adjacency=None, complete=None, paths=None,
-                 variables=None, root=None, closed=False):
-        self.nodes: dict[tuple, Seed] = {} if nodes is None else nodes
-        self.adjacency: dict[tuple, dict[int, tuple]] = {} if adjacency is None else adjacency
-        self.complete: set = set() if complete is None else complete
-        self.paths: dict[tuple, tuple[int, ...]] = {} if paths is None else paths
-        self.variables: dict[bytes, tuple[LaurentForm, tuple[int, ...]]] = (
-            {} if variables is None else variables)
-        self.root, self.closed = root, closed
+    """What ``explore`` finds, filled in as it runs."""
 
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(self) == vars(other)
-
-    def __repr__(self):
-        return f"ExchangeGraph({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    def __init__(self):
+        self.nodes: dict[tuple, Seed] = {}
+        self.adjacency: dict[tuple, dict[int, tuple]] = {}
+        self.complete: set = set()
+        self.paths: dict[tuple, tuple[int, ...]] = {}
+        self.variables: dict[bytes, tuple[LaurentForm, tuple[int, ...]]] = {}
+        self.root, self.closed = None, False
 
     def node_count(self) -> int:
         return len(self.nodes)

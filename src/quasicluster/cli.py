@@ -130,12 +130,12 @@ def cmd_mutate(args) -> int:
     for t in seq:
         if t not in seed.values:
             raise InputError(f"vertex {t} is not mutable")
-        cls = seed.quiver.classify_vertex(t)
+        cls = seed._read().classify_vertex(t)
         print(relation_text(cls, seed))
         seed = mutate_seed(seed, t, cls)
         print(f"     x{t}' = {seed.values[t].render(seed.context)}")
     if args.out:
-        _write(seed.quiver.dumps(), args.out)
+        _write(seed._read().dumps(), args.out)
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .pquiver import _components
 from .surface import (InvalidTriangulation, QuasiTriangulation, Triangle,
                       TRI_ANTI_SELF_FOLDED, TRI_QUASI, TRI_REGULAR,
                       _triangle_matchings)
@@ -16,14 +17,6 @@ from .surface import (InvalidTriangulation, QuasiTriangulation, Triangle,
 
 class QuasiArcPresent(ValueError):
     """Quasi-arcs lift to non-contractible loops; no triangulation lifts."""
-
-
-def _find(parent: dict, x):
-    """Root of x in the union-find forest ``parent``, halving the path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 class DoubleCover(NamedTuple):
@@ -40,14 +33,10 @@ class DoubleCover(NamedTuple):
         return [a for a, b in self.sigma_arc.items() if a == b]
 
     def is_connected(self) -> bool:
-        parent = {p: p for p in self.lifted.walks}
-        position = self.lifted.token_positions()
-        for arc in self.lifted.arcs:
-            if self.lifted.arcs[arc] == "quasi":
-                continue
-            p0, p1 = position[(arc, 0)][0], position[(arc, 1)][0]
-            parent[_find(parent, p0)] = _find(parent, p1)
-        return len({_find(parent, p) for p in parent}) == 1
+        """Whether the lifted points are one component; two points are
+        joined exactly when their walks share an arc."""
+        walks = self.lifted.walks.values()
+        return len(_components([[a for a, _ in w] for w in walks])) == 1
 
 
 def lift(base: QuasiTriangulation) -> DoubleCover:

@@ -165,10 +165,13 @@ class QuasiTriangulation:
     def fresh_triangle_id(self) -> int:
         return max(self.triangles, default=0) + 1
 
-    def token_positions(self) -> dict[End, tuple[int, int]]:
-        """Map each arc end in a walk to its (point, index)."""
-        return {tok: (pt, i) for pt, walk in self.walks.items()
-                for i, tok in enumerate(walk)}
+    def end_position(self, tok: End) -> tuple[int, int]:
+        """The (point, index) of the arc end ``tok``, found by scanning the
+        walks; KeyError if it lies in none."""
+        for pt, walk in self.walks.items():
+            if tok in walk:
+                return pt, walk.index(tok)
+        raise KeyError(tok)
 
     def corners_at(self, slots) -> list[tuple[End, End]]:
         """The two arc ends of each corner slot (point, index)."""
@@ -342,30 +345,30 @@ class QuasiTriangulation:
 
         A side instance is one side of one triangle; its two corner slots sit
         at opposite ends of the side's arc, and a quasi-triangle's one corner
-        has its loop side.  The side instance seen on the walk-left of the
-        arc's end-0 token, member 1 of the corner before it, equals the one
-        on the walk-left of its end-1 token exactly when the gluing is
-        orientation-reversing (relative to the stored walk directions;
-        boundary arcs transport trivially by the walk convention).
-        ``slots_of`` is ``corner_slots()``, built here unless the caller has it.
+        has its loop side.  Each corner's walk-left side is recorded under
+        its member 1, the arc end that closes the corner.  The side seen on
+        the walk-left of an arc's end 0 equals the one on the walk-left of
+        its end 1 exactly when the gluing is orientation-reversing (relative
+        to the stored walk directions; boundary arcs transport trivially by
+        the walk convention).  ``slots_of`` is ``corner_slots()``, built here
+        unless the caller has it.
         """
         if slots_of is None:
             slots_of = self.corner_slots()
-        left: dict[tuple[int, int], tuple[int, int]] = {}   # corner -> side
+        left: dict[End, tuple[int, int]] = {}   # arc end -> side on its left
         for tri in self.triangles.values():
-            slots = slots_of[tri.id]
+            corners = self.corners_at(slots_of[tri.id])
             if tri.kind == TRI_QUASI:
-                slot, = slots
-                left[slot] = (tri.id, 0)
+                (_, end), = corners
+                left[end] = (tri.id, 0)
                 continue
-            matchings = _triangle_matchings(self.corners_at(slots))
+            matchings = _triangle_matchings(corners)
             if not matchings:
                 raise InvalidTriangulation(f"triangle {tri.id} has no side matching")
             for k, side in enumerate(matchings[0]):
                 for ci, mi in side:
                     if mi:
-                        left[slots[ci]] = (tri.id, k)
-        position = self.token_positions()
+                        left[corners[ci][1]] = (tri.id, k)
         out: dict[int, int] = {}
         for arc, kind in self.arcs.items():
             if kind == QUASIARC:
@@ -373,8 +376,7 @@ class QuasiTriangulation:
             if kind == BOUNDARY:
                 out[arc] = 0
                 continue
-            (p0, i0), (p1, i1) = position[(arc, 0)], position[(arc, 1)]
-            out[arc] = int(left[(p0, i0 - 1)] == left[(p1, i1 - 1)])
+            out[arc] = int(left[(arc, 0)] == left[(arc, 1)])
         return out
 
     # -- flips ---------------------------------------------------------------------
@@ -393,8 +395,7 @@ class QuasiTriangulation:
         if kind == QUASIARC:
             t._flip_quasi_arc(arc)
             return t
-        position = t.token_positions()
-        (p0, i0), (p1, i1) = position[(arc, 0)], position[(arc, 1)]
+        (p0, i0), (p1, i1) = t.end_position((arc, 0)), t.end_position((arc, 1))
         if p0 == p1 and abs(i0 - i1) == 1:
             mid = min(i0, i1)
             tri = t.triangles[t.corner_tri[p0][mid]]

@@ -67,7 +67,7 @@ def involution_holds(seed: Seed, t: int) -> bool:
     """mu_t(mu_t(seed)) has the quiver of ``seed`` up to arrow ids (the same
     vertices and path itineraries) and its values."""
     s2 = mutate_seed(mutate_seed(seed, t), t)
-    q, q2, back = seed.quiver, s2.quiver, s2.values
+    q, q2, back = seed._read(), s2._read(), s2.values
     return (q2.vertices == q.vertices and q2.itineraries() == q.itineraries()
             and all(back[v].canonical_serialize() == x.canonical_serialize()
                     for v, x in seed.values.items()))

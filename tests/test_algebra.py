@@ -816,6 +816,15 @@ def test_mutate_seed_with_given_classification():
         assert given.values == made.values
 
 
+def test_mutate_seed_refuses_a_classification_with_a_memo():
+    # a memo'd step classifies by label, so a given classification, here
+    # one of another vertex, would go unread
+    seed = initial_seed(mobius_fan(3).build_quiver())
+    t, u = seed.quiver.mutable_ids()[:2]
+    with pytest.raises(TypeError, match="cls or memo"):
+        mutate_seed(seed, t, seed.quiver.classify_vertex(u), memo={})
+
+
 
 def test_plain_step_builds_only_the_child(monkeypatch):
     # a seed in its shape's own vertex order holds the quiver that the step

@@ -398,6 +398,43 @@ def test_mutate_classifies_each_vertex_once(tmp_path, capsys, monkeypatch):
     assert calls[0] == 3
 
 
+def test_mutate_builds_only_the_load_and_each_child(tmp_path, capsys, monkeypatch):
+    # the classification, the relation text and the --out dump read each
+    # seed's quiver in place, so nothing is copied
+    qpath, out = quiver_file(tmp_path, capsys), tmp_path / "m.json"
+    built, init = [], PartitionedQuiver.__init__
+    monkeypatch.setattr(PartitionedQuiver, "__init__", lambda q, *args: (
+        built.append(q), init(q, *args))[1])
+    code, text, _ = run(capsys, "mutate", "--in", str(qpath), "--seq", "1,2,1,3",
+                        "--out", str(out))
+    assert code == 0 and text.count("[V") == 4 and out.exists()
+    assert len(built) == 5
+
+
+def test_verify_cover_and_laurent_suites(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "cover", "--suite", "laurent")
+    assert code == 0
+    assert out.splitlines() == [
+        "suite cover: PASS",
+        "  ok   lifted complex validates",
+        "  ok   cover of the non-orientable base is connected",
+        "  ok   lifted complex is orientable (all transports trivial)",
+        "  ok   Moebius 3-arc double quiver matches the reference quiver",
+        "  ok   deck map is a fixed-point-free involution on lifted arcs",
+        "  ok   deck map is a quiver automorphism",
+        "  ok   quasi-arc fixture raises QuasiArcPresent",
+        "  ok   cover of an orientable base splits into two copies",
+        "  ok   orientable base lifts to twice the arcs",
+        "suite laurent: PASS",
+        "  ok   mobius:1: 2 variables positive Laurent",
+        "  ok   mobius:2: 6 variables positive Laurent",
+        "  ok   mobius:3: 13 variables positive Laurent",
+        "  ok   mobius:4: 23 variables positive Laurent",
+        "  ok   polygon:5: 5 variables positive Laurent",
+        "  ok   polygon:6: 9 variables positive Laurent",
+    ]
+
+
 @pytest.mark.parametrize("outputs", [
     ("--json", "{tmp}/g.json", "--dot", "/nonexistent/g.dot"),
     ("--json", "{tmp}/kept.json", "--dot", "/nonexistent/g.dot"),

@@ -82,12 +82,11 @@ def test_sheet_parity():
     base = mobius_three_arc()
     rho = base.arc_transport()
     dc = lift(base)
-    position = dc.lifted.token_positions()
     for arc in base.internal_arcs():
         for sheet in (0, 1):
             lifted = dc.arc_lift[(arc, sheet)]
-            p0, _ = position[(lifted, 0)]
-            p1, _ = position[(lifted, 1)]
+            p0, _ = dc.lifted.end_position((lifted, 0))
+            p1, _ = dc.lifted.end_position((lifted, 1))
             s0 = p0 in {dc.point_lift[(p, 0)] for p in base.points}
             s1 = p1 in {dc.point_lift[(p, 0)] for p in base.points}
             assert (s0 != s1) == bool(rho[arc])

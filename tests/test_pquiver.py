@@ -554,14 +554,20 @@ def test_zigzag_polygon_is_a_triangulation_quiver():
 
 def test_verify_in_labels_canonically_once(tmp_path, capsys, monkeypatch):
     # verify --in mutates at each vertex and back; those plain mutations key
-    # no child, so only the initial seed pays for the canonical labelling
+    # no child, so only the initial seed pays for the canonical labelling.
+    # The quivers built are the load and the two children per vertex: the
+    # involution check reads the seed's and the grandchild's in place
     path = tmp_path / "zigzag.json"
     path.write_text(zigzag_polygon(200).dumps())
     calls, shape = [], PartitionedQuiver.shape
     monkeypatch.setattr(PartitionedQuiver, "shape", lambda q: (
         calls.append(q), shape(q))[1])
+    built, init = [], PartitionedQuiver.__init__
+    monkeypatch.setattr(PartitionedQuiver, "__init__", lambda q, *args: (
+        built.append(q), init(q, *args))[1])
     start = time.perf_counter()
     assert main(["verify", "--in", str(path)]) == 0
     assert "0 failures over 197 vertices" in capsys.readouterr().out
     assert len(calls) == 1
+    assert len(built) == 2 * 197 + 1
     assert time.perf_counter() - start < 5
