@@ -177,13 +177,20 @@ def _relation_key(cls: VertexClassification, ids: tuple[int, ...]) -> tuple:
     each product's two sorted, then the products sorted; V3: i and k sorted,
     then j) and the value id at t."""
     if cls.type == V1:
-        (a, b), (c, d) = [sorted([ids[u], ids[v]]) for u, v in cls.product_pairs]
-        inputs = (a, b, c, d) if (a, b) <= (c, d) else (c, d, a, b)
+        (a, b), (c, d) = cls.product_pairs
+        a, b, c, d = ids[a], ids[b], ids[c], ids[d]
+        if b < a:
+            a, b = b, a
+        if d < c:
+            c, d = d, c
+        if c < a or c == a and d < b:
+            a, b, c, d = c, d, a, b
+        inputs = (a, b, c, d)
     elif cls.type in (V2, V4):
         inputs = ids[cls.i]
     else:
-        i, k = sorted([ids[cls.i], ids[cls.k]])
-        inputs = (i, k, ids[cls.j])
+        i, k = ids[cls.i], ids[cls.k]
+        inputs = (i, k, ids[cls.j]) if i <= k else (k, i, ids[cls.j])
     return cls.type, inputs, ids[cls.t]
 
 
@@ -225,8 +232,8 @@ def mutate_seed(seed: Seed, t: int, cls: VertexClassification | None = None,
         row = memo.setdefault(shape, [None] * len(order))
     try:
         i = order.index(t)
-        if row[i] is None or row[i][0] is None:   # not met, or met as an inverse
-            row[i] = _transition(shape, i, memo, row[i])
+        if row[i] is None:
+            row[i] = _transition(shape, i, memo)
     except ValueError:   # t is no vertex, or a ClassificationError
         seed.quiver.classify_vertex(t)   # raise it naming the seed's vertices
         raise
@@ -392,20 +399,23 @@ def match_seeds(child: Seed, stored: Seed) -> dict[int, int] | None:
     return rename
 
 
-def _transition(shape: Shape, i: int, memo: dict, inverse: tuple | None = None) -> tuple:
+_INVERSE_TYPE = {V1: V1, V2: V4, V3: V3, V4: V2}   # t's type after mutating at t
+
+
+def _transition(shape: Shape, i: int, memo: dict) -> tuple:
     """Classify and mutate the representative of ``shape`` at label i: the
     classification by label, the child's shape (interned in ``memo``, key ->
     shape) and, at each label of the child, the label of its vertex in
     ``shape`` or len(order) at the mutated vertex, one byte each where that
-    suffices.  Mutation is an involution, so the child's empty entry at t
-    gets the way back: ``inverse``, such an entry, lacks only the
-    classification, and with it the representative is not mutated."""
+    suffices.  Mutation is an involution that keeps E, so the child's empty
+    entry at t gets the way back: ``shape``, the inverse permutation and
+    the child's classification at t, which has the same vertices in the
+    same roles, V2 and V4 swapped, and no arrow ids, which only a quiver
+    mutation reads and no entry's use runs."""
     order, rep = shape.order, shape.quiver
     t, n = order[i], len(order)
     cls = rep.classify_vertex(t)
     label = dict(zip(order, range(n)))
-    if inverse is not None:
-        return cls.renamed(label), inverse[1], inverse[2]
     quiver = rep.mutate(t, cls)
     key, corder = quiver.shape()
     child = memo.get(key)
@@ -418,7 +428,9 @@ def _transition(shape: Shape, i: int, memo: dict, inverse: tuple | None = None) 
     if back[clabel[t]] is None:
         inv = [clabel[v] for v in order]
         inv[i] = n
-        back[clabel[t]] = None, shape, bytes(inv) if n < 256 else tuple(inv)
+        back_cls = cls._replace(type=_INVERSE_TYPE[cls.type], arrows=(), closures=())
+        back[clabel[t]] = (back_cls.renamed(clabel), shape,
+                           bytes(inv) if n < 256 else tuple(inv))
     return cls.renamed(label), child, bytes(perm) if n < 256 else tuple(perm)
 
 

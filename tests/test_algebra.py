@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from quasicluster.pquiver import (PartitionedQuiver, Unclassifiable,
 from quasicluster.surface import (annulus_crosscap, mobius_fan, named_fixture,
                                   polygon_fan)
 from test_pquiver import reversed_copy
+from test_properties import roles
 
 
 def all_ones_seed(quiver):
@@ -586,34 +587,90 @@ def explore_memo(monkeypatch, fixture, max_nodes=300, **seed_kwargs):
     return memos[0]
 
 
+def sorted_relation_key(cls, ids):
+    """``algebra._relation_key`` written with lists and ``sorted``: each V1
+    product's two ids sorted, then the products sorted; V3's i and k
+    sorted, then j."""
+    if cls.type == "V1":
+        (a, b), (c, d) = [sorted([ids[u], ids[v]]) for u, v in cls.product_pairs]
+        inputs = (a, b, c, d) if (a, b) <= (c, d) else (c, d, a, b)
+    elif cls.type in ("V2", "V4"):
+        inputs = ids[cls.i]
+    else:
+        i, k = sorted([ids[cls.i], ids[cls.k]])
+        inputs = (i, k, ids[cls.j])
+    return cls.type, inputs, ids[cls.t]
+
+
+def test_relation_key_matches_the_sorted_formula_on_every_order():
+    # every order of up to four distinct ids, ties included, in each role
+    v1 = VertexClassification("V1", 4, (), product_pairs=((0, 1), (2, 3)))
+    v3 = VertexClassification("V3", 4, (), i=0, j=1, k=2)
+    for ids in product(range(4), repeat=4):
+        ids += (9,)
+        for cls in (v1, v3, v3._replace(type="V2", j=None, k=None)):
+            assert algebra._relation_key(cls, ids) == sorted_relation_key(cls, ids)
+
+
+@pytest.mark.parametrize("coeff_free", [True, False])
+def test_relation_keys_of_explorations_match_the_sorted_formula(monkeypatch,
+                                                                coeff_free):
+    # every key that explorations of the fixtures build, repeated values
+    # (all frozen ones are 1 without coefficients) included
+    original, met = algebra._relation_key, set()
+
+    def checked(cls, ids):
+        key = original(cls, ids)
+        assert key == sorted_relation_key(cls, ids)
+        met.add(cls.type)
+        return key
+
+    monkeypatch.setattr(algebra, "_relation_key", checked)
+    for fixture in FIXTURES:
+        explored(fixture, 500, coeff_free=coeff_free, tracking="denominator")
+    assert met == {"V1", "V2", "V3", "V4"}
+
+
 @pytest.mark.parametrize("fixture, max_nodes, tracking", [
     ("mobius:4", 100000, "exact"), ("annulus-crosscap", 2000, "denominator"),
     ("three-boundary", 2000, "denominator")])
 def test_memo_entries_from_their_inverse_match_a_fresh_transition(
         monkeypatch, fixture, max_nodes, tracking):
     # the transition from shape S at label i to C at j fills C's empty entry
-    # at j with S and the inverse permutation, and its first use only
-    # classifies; every such entry, used or not, must give what computing
-    # the transition gives: the same child Shape, an equal classification
-    # and the same child quiver up to arrow ids and path order
-    original, used = algebra._transition, set()
+    # at j with S, the inverse permutation and a classification derived from
+    # S's at i, which no transition computes again; every such entry, used
+    # or not, must give what computing the transition gives: the same child
+    # Shape and permutation, the same type and roles, and the same child
+    # quiver up to arrow ids and path order.  It holds no arrow ids, which
+    # only a quiver mutation reads
+    original, computed, keyed = algebra._transition, set(), set()
+    original_key = algebra._relation_key
 
-    def recorded(shape, i, memo, inverse=None):
-        if inverse is not None:
-            used.add((shape, i))
-        return original(shape, i, memo, inverse)
+    def recorded(shape, i, memo):
+        computed.add((shape, i))
+        return original(shape, i, memo)
+
+    def recorded_key(cls, ids):
+        keyed.add(id(cls))
+        return original_key(cls, ids)
 
     monkeypatch.setattr(algebra, "_transition", recorded)
+    monkeypatch.setattr(algebra, "_relation_key", recorded_key)
     memo = explore_memo(monkeypatch, fixture, max_nodes, tracking=tracking)
-    unused = [(shape, i) for shape, row in memo.items() if type(shape) is algebra.Shape
-              for i, entry in enumerate(row) if entry is not None and entry[0] is None]
-    assert used
-    for shape, i in [*used, *unused]:
+    derived = [(shape, i) for shape, row in memo.items() if type(shape) is algebra.Shape
+               for i, entry in enumerate(row)
+               if entry is not None and (shape, i) not in computed]
+    assert derived and len(derived) <= len(computed)
+    # explore keys relations by derived entries
+    assert any(id(memo[shape][i][0]) in keyed for shape, i in derived)
+    for shape, i in derived:
         cls, child, perm = memo[shape][i]
+        assert cls.arrows == cls.closures == ()
         rep, t = shape.quiver, shape.order[i]
-        fresh = original(shape, i, dict(memo))
-        assert child is fresh[1]
-        assert cls == fresh[0] if (shape, i) in used else cls is None
+        fresh = original(shape, i, {k: list(v) if type(v) is list else v
+                                    for k, v in memo.items()})
+        assert child is fresh[1] and perm == fresh[2]
+        assert (cls.t, roles(cls)) == (fresh[0].t, roles(fresh[0]))
         labels = shape.order + (t,)
         mine = child.quiver.renamed({v: labels[j] for v, j in zip(child.order, perm)})
         assert quiver_shape(mine) == quiver_shape(rep.mutate(t))
@@ -748,11 +805,14 @@ def test_explore_serializes_only_for_cluster_keys(monkeypatch):
     # values are interned by equality, so explore serializes only to build
     # the byte keys of the graph, each variable once, a new cluster's key
     # being its parent's with one entry swapped.  A classification is
-    # renamed once to labels per transition and once back to the seed's
-    # vertices per exchange_value call.  Before values were interned this
-    # run made 67,679 serializations (about 34 per node) and 3,609
-    # renamings; before keys were built from the parent's, 12,004
-    # serializations, (nodes - 1)(n + 1) + 2n.
+    # renamed once to labels per transition, once to the child's labels for
+    # the inverse entry that the transition fills (each of this run's does),
+    # and once back to the seed's vertices per exchange_value call.  Before
+    # values were interned this run made 67,679 serializations (about 34 per
+    # node) and 3,609 renamings; before keys were built from the parent's,
+    # 12,004 serializations, (nodes - 1)(n + 1) + 2n.  Before inverse
+    # entries were classified from their transition, it made 126
+    # classifications and 1,788 renamings.
     seed = initial_seed(annulus_crosscap().build_quiver(), coeff_free=True,
                         tracking="denominator")
     serialized = counting(monkeypatch, DenominatorVector, "canonical_serialize")
@@ -764,7 +824,8 @@ def test_explore_serializes_only_for_cluster_keys(monkeypatch):
     g = err.value.graph
     assert g.node_count() == 2000
     assert serialized[0] == g.variable_count() == 270
-    assert renamed[0] == exchanges[0] + classified[0] == 1788
+    assert classified[0] == 77
+    assert renamed[0] == exchanges[0] + 2 * classified[0] == 1816
 
 
 @pytest.mark.parametrize("tracking", ["exact", "denominator"])
@@ -780,8 +841,11 @@ def test_explore_gives_each_seed_its_own_classification_and_child(
         # every mutation reads its relation key, memo hits included
         keys[0] += 1
         seed, table = current[-1]
+        # by type and roles: an entry derived from its inverse holds no
+        # arrow ids, and its roles keep that transition's order
         named = cls.renamed(seed.order)
-        assert named == seed.quiver.classify_vertex(named.t)
+        fresh = seed.quiver.classify_vertex(named.t)
+        assert roles(named) == roles(fresh)
         assert [table.values[i] for i in ids] == list(map(seed.value_of, seed.order))
         return original_key(cls, ids)
 

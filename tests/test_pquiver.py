@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 import pquiver_reference as reference
+from quasicluster import verify
 from quasicluster.cli import main
 from quasicluster.pquiver import (AmbiguousClosure, Arrow, PartitionedQuiver,
                                   Unclassifiable, Vertex, ORDINARY, QUASI)
@@ -571,3 +572,21 @@ def test_verify_in_labels_canonically_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     assert len(built) == 2 * 197 + 1
     assert time.perf_counter() - start < 5
+
+
+def test_involution_suite_builds_only_its_pool_and_two_children_per_pair(
+        monkeypatch):
+    # the suite and its seed pool pick vertices from the seeds' own mutable
+    # vertices, so the quivers built are the pool's (its fixtures and walk
+    # steps) and the two plain children of each pair; reading the mutable
+    # vertices off a rebuilt quiver cost 1,036 more
+    built, init = [], PartitionedQuiver.__init__
+    monkeypatch.setattr(PartitionedQuiver, "__init__", lambda q, *args: (
+        built.append(q), init(q, *args))[1])
+    verify._random_seed_pool(random.Random(20406))
+    assert len(built) == 42
+    del built[:]
+    result = verify.suite_involution()
+    assert result.ok and "1000 randomized (seed, vertex) pairs, 0 failures" \
+        in result.lines[0]
+    assert len(built) == 42 + 2 * 1000

@@ -6,7 +6,8 @@ with vertex ids and arrow ids renamed and the arrow dict, the vertex dict and
 the path list shuffled.  At every mutable vertex the copy must classify to
 the same type and mutate to the same canonical form; the mutation must be
 valid and an involution.  A copy with one path reversed must classify to the
-same roles and mutate to the same quiver up to path direction.
+same roles and mutate to the same quiver up to path direction.  Mutating
+back at t finds the same roles, V2 and V4 swapped.
 
 Flips and mutations commute with the quiver construction along random flip
 walks, and the walked quivers and triangulations survive a JSON round trip.
@@ -114,6 +115,24 @@ def roles(cls):
     if cls.type == "V3":
         return cls.type, sorted([cls.i, cls.k]), cls.j
     return cls.type, cls.i
+
+
+@settings(derandomize=True, deadline=None)
+@given(name=st.sampled_from(FIXTURES),
+       walk=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8))
+def test_mutating_back_keeps_the_roles_and_swaps_v2_and_v4(name, walk):
+    # mutation is an involution that keeps the exchange relation, so the
+    # child classifies t with the same vertices in the same roles, V2 and
+    # V4 swapped: what an exploration's memo records for the way back
+    q = named_fixture(name).build_quiver()
+    for step in walk:
+        mutable = q.mutable_ids()
+        q = q.mutate(mutable[step % len(mutable)])
+    swap = {"V1": "V1", "V2": "V4", "V3": "V3", "V4": "V2"}
+    for t in q.mutable_ids():
+        cls = q.classify_vertex(t)
+        back = q.mutate(t, cls).classify_vertex(t)
+        assert roles(back) == roles(cls._replace(type=swap[cls.type]))
 
 
 def up_to_direction(q):
