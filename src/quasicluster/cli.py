@@ -52,11 +52,15 @@ def _check_writable(out: str | None):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in file ``path``; anything else is an input error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _from_json(kind, data, path: str):

@@ -372,11 +372,6 @@ class PartitionedQuiver:
              for a in self.arrows.values()],
             self.partition)
 
-    def _positions(self) -> dict[int, tuple[int, int]]:
-        """Map each arrow id to its (path index, position in path)."""
-        return {aid: (pi, pos) for pi, path in enumerate(self.partition)
-                for pos, aid in enumerate(path)}
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -422,17 +417,25 @@ class PartitionedQuiver:
     # -- classification -----------------------------------------------------
 
     def classify_vertex(self, t: int) -> VertexClassification:
+        """t's configuration, V1 to V4, with the arrows and vertices in its
+        roles.  Expects a valid quiver and reads arrows in partition order,
+        not arrow-dict order; raises ``Unclassifiable``, also when the
+        partition does not list each arrow once, or ``AmbiguousClosure``."""
         v = self.vertices[t]
         if v.frozen:
             raise Unclassifiable(f"vertex {t} is frozen")
-        loc = self._positions()
-        # each vertex's arrows in arrow-dict order, a loop listed once: the
-        # one pass over the arrows that every rule below reads
+        # each arrow's (path, position) and each vertex's arrows, a loop once
+        arrows, loc = self.arrows, {}
         at: dict[int, list[Arrow]] = defaultdict(list)
-        for a in self.arrows.values():
-            at[a.src].append(a)
-            if a.tgt != a.src:
-                at[a.tgt].append(a)
+        for pi, path in enumerate(self.partition):
+            for pos, aid in enumerate(path):
+                loc[aid] = (pi, pos)
+                a = arrows[aid]
+                at[a.src].append(a)
+                if a.tgt != a.src:
+                    at[a.tgt].append(a)
+        if not sum(map(len, self.partition)) == len(loc) == len(arrows):
+            raise Unclassifiable("the partition does not list each arrow once")
         mine = at[t]
         loops = [a for a in mine if a.src == a.tgt]
         if loops:
@@ -538,10 +541,11 @@ class PartitionedQuiver:
         # the 2-paths through t: each in-arrow, in path order, and the next
         # arrow of its path
         pairs = []
-        for (pi, pos), a in sorted((loc[a.id], a.id) for a in at[t] if a.tgt == t):
+        for a in at[t]:
+            pi, pos = loc[a.id]
             after = self.partition[pi][pos + 1:pos + 2]
-            if after and self.arrows[after[0]].src == t:
-                pairs.append((a, after[0]))
+            if a.tgt == t and after and self.arrows[after[0]].src == t:
+                pairs.append((a.id, after[0]))
         if len(pairs) != 2 or len(at[t]) != 4:
             raise Unclassifiable(
                 f"vertex {t}: expected two 2-paths through it, "
@@ -594,30 +598,31 @@ class PartitionedQuiver:
                cls: VertexClassification | None = None) -> "PartitionedQuiver":
         """Return the quiver mutated at mutable vertex t.  Functional.
 
-        ``cls`` is ``classify_vertex(t)`` when the caller has already made it.
-        Each run of replaced arrows is spliced where it lies, found by its
-        first arrow: the runs are disjoint, and only the single run of V2 or
-        V4 reuses an id, so each first arrow is found once, in its place.
+        ``cls`` is ``classify_vertex(t)`` when the caller has already made it;
+        a classification of another vertex, or whose arrows or runs are not
+        this quiver's, raises ValueError.  Each run of replaced arrows is
+        spliced where it lies, found by its first arrow: the runs are
+        disjoint, and only the single run of V2 or V4 reuses an id, so each
+        first arrow is found once, in its place.
         """
         if cls is None:
             cls = self.classify_vertex(t)
+        elif cls.t != t or not self.arrows.keys() >= {*cls.arrows, *cls.closures}:
+            raise ValueError(f"a classification of vertex {cls.t} does not fit "
+                             f"this quiver at vertex {t}")
         rule = {V1: self._rule_v1, V2: self._rule_v2,
                 V3: self._rule_v3, V4: self._rule_v4}[cls.type]
         runs, kind = rule(cls)
         q = self.copy()
         for old, new in runs:
-            path = next(p for p in q.partition if old[0] in p)
-            pos = path.index(old[0])
-            assert path[pos:pos + len(old)] == old, "roles are not path-consecutive"
+            path = next((p for p in q.partition if old[0] in p), [])
+            pos = path.index(old[0]) if path else 0
+            if path[pos:pos + len(old)] != old:
+                raise ValueError(f"vertex {t}: run {old} does not lie in a path")
             path[pos:pos + len(old)] = [a.id for a in new]
-        # an id both replaced and re-added (V2's loop, V4's a1) keeps its
-        # place: classification scans arrows in dict order
-        added = {a.id: a for _, new in runs for a in new}
-        for old, _ in runs:
             for aid in old:
-                if aid not in added:
-                    del q.arrows[aid]
-        q.arrows.update(added)
+                del q.arrows[aid]
+        q.arrows.update((a.id, a) for _, new in runs for a in new)
         if kind is not None:
             q.vertices[t] = Vertex(t, frozen=False, kind=kind)
         return q
@@ -765,9 +770,9 @@ class PartitionedQuiver:
         for v in sorted(self.vertices.values(), key=lambda v: v.id):
             shape = "box" if v.frozen else ("diamond" if v.kind == QUASI else "circle")
             lines.append(f'  "{v.id}" [shape={shape}];')
-        loc = self._positions()
+        path_of = {aid: pi for pi, path in enumerate(self.partition) for aid in path}
         for a in sorted(self.arrows.values(), key=lambda a: a.id):
-            color = palette[loc.get(a.id, (0,))[0] % len(palette)]
+            color = palette[path_of.get(a.id, 0) % len(palette)]
             lines.append(f'  "{a.src}" -> "{a.tgt}" [color={color}];')
         lines.append("}")
         return "\n".join(lines)

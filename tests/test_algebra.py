@@ -880,6 +880,18 @@ def test_mutate_seed_with_given_classification():
         assert given.values == made.values
 
 
+def test_mutate_seed_refuses_a_classification_of_another_vertex():
+    # the roles of u would give t a wrong value; nothing joins the table
+    seed = initial_seed(mobius_fan(3).build_quiver())
+    known = len(seed.table.values)
+    for t in seed.quiver.mutable_ids():
+        for u in seed.quiver.mutable_ids():
+            if u != t:
+                with pytest.raises(ValueError, match=f"vertex {u} .*vertex {t}"):
+                    mutate_seed(seed, t, seed.quiver.classify_vertex(u))
+    assert len(seed.table.values) == known
+
+
 def test_mutate_seed_refuses_a_classification_with_a_memo():
     # a memo'd step classifies by label, so a given classification, here
     # one of another vertex, would go unread

@@ -272,6 +272,21 @@ def vertex_one(**fields):
         v for v in d["vertices"] if v["id"] == 1).update(fields))
 
 
+def json_text(text):
+    """An input maker: a file holding the JSON ``text``."""
+    def make(tmp_path, capsys):
+        path = tmp_path / "j.json"
+        path.write_text(text)
+        return path
+    return make
+
+
+# a top level that is not an object, read by each command that takes --in
+NOT_OBJECTS = [(text, argv) for text in ("null", "5", "true")
+               for argv in (("export", "--json"), ("mutate", "--at", "1"), ("verify",),
+                            ("quiver", "build"), ("explore",))]
+
+
 @pytest.mark.parametrize("make_input, argv", [
     (quiver_file, ("mutate", "--seq", "1,x")),
     (None, ("explore", "--fixture", "nope")),
@@ -316,6 +331,7 @@ def vertex_one(**fields):
     (duplicate_arrow, ("mutate", "--at", "1")),
     (duplicate_arrow, ("verify",)),
     (duplicate_arrow, ("export", "--dot")),
+    *[(json_text(text), argv) for text, argv in NOT_OBJECTS],
 ], ids=["seq-not-int", "unknown-fixture", "fixture-size-not-int",
         "mobius-0", "polygon-3", "surface-polygon-2", "mutate-arrow-without-src",
         "verify-arrow-without-src", "export-arrow-without-src",
@@ -332,7 +348,8 @@ def vertex_one(**fields):
         "walk-arc-list", "corners-at-unknown-point",
         "mutate-duplicate-vertex", "verify-duplicate-vertex",
         "mutate-duplicate-arrow", "verify-duplicate-arrow",
-        "export-dot-duplicate-arrow"])
+        "export-dot-duplicate-arrow",
+        *[f"{argv[0]}-{text}-not-an-object" for text, argv in NOT_OBJECTS]])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_input, argv):
     if make_input is not None:
         argv += ("--in", str(make_input(tmp_path, capsys)))

@@ -119,10 +119,10 @@ def test_mutation_involution_and_pairing():
 
 def test_mutate_with_given_classification(monkeypatch):
     # each run is spliced where it lies, found by its first arrow, so a
-    # mutation handed its classification makes no position pass of its own
-    calls, positions = [], PartitionedQuiver._positions
-    monkeypatch.setattr(PartitionedQuiver, "_positions", lambda q: (
-        calls.append(q), positions(q))[1])
+    # mutation handed its classification classifies nothing of its own
+    calls, classify = [], PartitionedQuiver.classify_vertex
+    monkeypatch.setattr(PartitionedQuiver, "classify_vertex", lambda q, t: (
+        calls.append(t), classify(q, t))[1])
     names = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
              "polygon:6", "annulus-crosscap", "mobius-three-arc",
              "three-boundary"]
@@ -134,6 +134,37 @@ def test_mutate_with_given_classification(monkeypatch):
             given = q.mutate(t, cls)
             assert calls == [], (name, t)
             assert given.to_json() == q.mutate(t).to_json()
+
+
+def test_mutate_refuses_a_classification_that_does_not_fit():
+    # a classification of another vertex, or one whose arrows or runs are
+    # not this quiver's, raises instead of mutating by the wrong roles
+    q = named_fixture("mobius:3").build_quiver()
+    for t in q.mutable_ids():
+        for u in q.mutable_ids():
+            if u != t:
+                with pytest.raises(ValueError, match=f"vertex {u} .*vertex {t}"):
+                    q.mutate(t, q.classify_vertex(u))
+    with pytest.raises(ValueError, match="does not fit"):
+        q.mutate(1, q.mutate(3).classify_vertex(1))   # the child's arrow ids
+    cls = q.classify_vertex(1)
+    a_in, a_out, b_in, b_out = cls.arrows
+    with pytest.raises(ValueError, match="does not lie in a path"):
+        q.mutate(1, cls._replace(arrows=(a_out, a_in, b_in, b_out)))
+
+
+def test_classify_vertex_refuses_a_partition_that_misses_or_repeats_an_arrow():
+    # an arrow in no path would be invisible to the rules, and one listed
+    # twice would be read at two places
+    q = named_fixture("mobius:3").build_quiver()
+    outside, repeated = q.copy(), q.copy()
+    outside.arrows[99] = Arrow(99, 1, 3)
+    repeated.partition.append([q.partition[0][0]])
+    for bad in (outside, repeated):
+        assert bad.validate() != []
+        for t in bad.mutable_ids():
+            with pytest.raises(Unclassifiable, match="each arrow once"):
+                bad.classify_vertex(t)
 
 
 def test_v1_equals_classical_rule():
@@ -286,7 +317,9 @@ class CountingArrows(dict):
         return super().__iter__()
 
 
-def test_classify_vertex_makes_one_pass_over_the_arrows():
+def test_classify_vertex_makes_no_pass_over_the_arrows():
+    # classification reads each arrow where the partition lists it, so it
+    # never iterates the arrow dict
     names = ["mobius:1", "mobius:2", "mobius:3", "mobius:4", "polygon:5",
              "polygon:6", "annulus-crosscap", "mobius-three-arc",
              "three-boundary"]
@@ -296,7 +329,7 @@ def test_classify_vertex_makes_one_pass_over_the_arrows():
         for t in q.mutable_ids():
             q.arrows = CountingArrows(q.arrows)
             types.add(q.classify_vertex(t).type)
-            assert q.arrows.passes == 1, (name, t)
+            assert q.arrows.passes == 0, (name, t)
     assert types == {"V1", "V2", "V3", "V4"}
 
 

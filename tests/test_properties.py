@@ -5,7 +5,9 @@ stored: each example walks a fixture a few random steps, then builds a copy
 with vertex ids and arrow ids renamed and the arrow dict, the vertex dict and
 the path list shuffled.  At every mutable vertex the copy must classify to
 the same type and mutate to the same canonical form; the mutation must be
-valid and an involution.  A copy with one path reversed must classify to the
+valid and an involution.  A copy that holds the same arrows in another
+arrow-dict order must classify and mutate to the same result, arrow ids
+included.  A copy with one path reversed must classify to the
 same roles and mutate to the same quiver up to path direction.  Mutating
 back at t finds the same roles, V2 and V4 swapped.
 
@@ -55,6 +57,25 @@ def test_classify_and_mutate_ignore_labels_and_order(name, walk, relabel_seed):
         assert r.mutate(vmap[t]).canonical_form() == q1.canonical_form()
         assert q1.validate() == []
         assert q1.mutate(t).canonical_form() == form
+
+
+@settings(derandomize=True, deadline=None)
+@given(name=st.sampled_from(FIXTURES),
+       walk=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+       shuffle_seed=st.integers(min_value=0, max_value=2**32))
+def test_classify_and_mutate_ignore_the_arrow_dict_order(name, walk, shuffle_seed):
+    # classification reads arrows where the partition lists them, so the
+    # order in which the arrows were inserted is not part of a quiver
+    q = named_fixture(name).build_quiver()
+    for step in walk:
+        mutable = q.mutable_ids()
+        q = q.mutate(mutable[step % len(mutable)])
+    arrows = list(q.arrows.values())
+    random.Random(shuffle_seed).shuffle(arrows)
+    r = PartitionedQuiver(q.vertices.values(), arrows, q.partition)
+    for t in q.mutable_ids():
+        assert r.classify_vertex(t) == q.classify_vertex(t)
+        assert r.mutate(t).to_json() == q.mutate(t).to_json()
 
 
 def labelled(q):
